@@ -1,11 +1,7 @@
-"""Pure-Python search backend.
+"""The bounded lattice sweeps used by the characteristic-square solver.
 
-Reference implementation of the bounded lattice sweeps used by the
-characteristic-square solver.  The compiled backend in _kernel.pyx mirrors
-this module exactly, including iteration order, so both return identical
-witnesses.  This version runs on arbitrary-precision integers and is the
-fallback whenever the compiled kernel is unavailable or the int64 safety
-bound would be exceeded.
+They run on arbitrary-precision integers, so no form entry, bound or target
+is too large for them.
 
 All sweeps walk candidate vectors in lexicographic order; each coordinate i
 ranges over values congruent to residue[i] mod 2 inside [-limit, limit].

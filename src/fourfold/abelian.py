@@ -254,44 +254,3 @@ def parse_word(names: Sequence[str], text: str) -> tuple[int, ...]:
         out[index[name]] += int(exponent) if exponent is not None else 1
     return tuple(out)
 
-
-def parse_presentation_text(text: str) -> Presentation:
-    """Parse the line format: one "gens = <int>" line, then "rel = ..." lines.
-
-    Relation lines hold comma-separated integers.  Blank lines and comments
-    (# to end of line) are ignored.
-    """
-    generators = None
-    relations = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PresentationError(f"expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "gens":
-            if generators is not None:
-                raise PresentationError("duplicate gens line")
-            try:
-                generators = int(value)
-            except ValueError:
-                raise PresentationError(f"gens must be an integer, got {value!r}") from None
-        elif key == "rel":
-            try:
-                relations.append(tuple(int(x.strip()) for x in value.split(",")))
-            except ValueError:
-                raise PresentationError(f"bad relation line {raw!r}") from None
-        else:
-            raise PresentationError(f"unknown key {key!r} in presentation")
-    if generators is None:
-        raise PresentationError("presentation is missing the gens line")
-    return Presentation(generators, tuple(relations))
-
-
-def format_presentation_text(p: Presentation) -> str:
-    lines = [f"gens = {p.generators}"]
-    lines.extend("rel = " + ",".join(str(x) for x in rel) for rel in p.relations)
-    return "\n".join(lines)

@@ -169,19 +169,27 @@ def _load_manifold(args) -> ManifoldInvariants:
     if args.family is not None:
         return family_invariants(FamilyId.parse(args.family))
     with open(args.file, "r", encoding="ascii") as handle:
-        return parse_manifold_file(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ManifoldFileError(f"{args.file}: byte {exc.start} is not ASCII") from None
+    return parse_manifold_file(text)
 
 
 def _resolve_bound(args) -> int:
     if args.bound is not None:
-        return args.bound
-    env = os.environ.get("FOURFOLD_BOUND")
-    if env is not None:
+        bound, source = args.bound, "--bound"
+    else:
+        env = os.environ.get("FOURFOLD_BOUND")
+        if env is None:
+            return DEFAULT_BOUND
         try:
-            return int(env)
+            bound, source = int(env), "FOURFOLD_BOUND"
         except ValueError:
             raise _UsageError(f"FOURFOLD_BOUND must be an integer, got {env!r}") from None
-    return DEFAULT_BOUND
+    if bound < 0:
+        raise _UsageError(f"{source} must be nonnegative, got {bound}")
+    return bound
 
 
 def _verdict_dict(v: StructureVerdict) -> dict:

@@ -1,56 +1,26 @@
-"""Backend selection and witness search strategy.
+"""Witness search strategy over the lattice sweeps in fourfold._pure.
 
-Two interchangeable backends run the lattice sweeps: a compiled kernel
-(fourfold._kernel, built from Cython) and a pure-Python twin
-(fourfold._pure).  The compiled kernel computes in int64, so a call is only
-routed there after checking an a-priori bound on every intermediate value;
-anything larger, and any environment without the extension, uses the pure
-backend.  Setting FOURFOLD_PURE=1 forces the pure backend, which the
-benchmark uses for comparison.
-
-Both backends enumerate in the same order, so results are identical
-bit for bit.
+The sweeps run on arbitrary-precision integers, so every form and bound is
+searched exactly.  They are looked up on the _pure module at call time, so a
+tracer that wraps those attributes sees every sweep.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import _pure
 from .forms import IntersectionForm
 
-try:
-    from . import _kernel
-except ImportError:  # pragma: no cover - depends on the build environment
-    _kernel = None
-
-_INT64_HEADROOM = 2**61
-
 
 def compiled_available() -> bool:
-    return _kernel is not None
+    """Always False: there is no compiled sweep; kept for reports that print it."""
+    return False
 
 
 def backend_name() -> str:
-    """Name of the backend the next call would use (modulo size guards)."""
-    if _kernel is None or os.environ.get("FOURFOLD_PURE"):
-        return "pure"
-    return "compiled"
-
-
-def _fits_int64(qflat: Sequence[int], limit: int, target: int) -> bool:
-    # worst |q(h)| <= sum|Q_ij| * limit^2; cross sums are strictly smaller
-    weight = sum(abs(x) for x in qflat)
-    return weight * limit * limit < _INT64_HEADROOM and abs(target) < _INT64_HEADROOM
-
-
-def _backend(qflat, limit, target):
-    if _kernel is None or os.environ.get("FOURFOLD_PURE"):
-        return _pure
-    if _fits_int64(qflat, limit, target):
-        return _kernel
-    return _pure
+    """Name of the sweep backend, for reports."""
+    return "pure"
 
 
 def _flatten(form: IntersectionForm) -> list[int]:
@@ -82,15 +52,14 @@ def find_minimal_witness(
     """
     _check_inputs(form, residues, bound)
     qflat = _flatten(form)
-    backend = _backend(qflat, bound, target)
-    first = backend.first_hit(qflat, list(residues), form.rank, bound, target)
+    first = _pure.first_hit(qflat, list(residues), form.rank, bound, target)
     if first is None:
         return None
     cap = max((abs(c) for c in first), default=0)
     for shell in range(cap + 1):
-        hit = backend.first_hit_on_shell(qflat, list(residues), form.rank, shell, target)
+        hit = _pure.first_hit_on_shell(qflat, list(residues), form.rank, shell, target)
         if hit is not None:
-            return tuple(int(c) for c in hit)
+            return hit
     raise AssertionError("shell pass missed a witness the full sweep found")
 
 
@@ -102,7 +71,4 @@ def enumerate_witnesses(
 ) -> list[tuple[int, ...]]:
     """All solutions in the box, in lexicographic order."""
     _check_inputs(form, residues, bound)
-    qflat = _flatten(form)
-    backend = _backend(qflat, bound, target)
-    hits = backend.all_hits(qflat, list(residues), form.rank, bound, target)
-    return [tuple(int(c) for c in h) for h in hits]
+    return _pure.all_hits(_flatten(form), list(residues), form.rank, bound, target)

@@ -11,9 +11,7 @@ from fourfold.abelian import (
     Presentation,
     PresentationError,
     abelianize,
-    format_presentation_text,
     parse_abelian_group,
-    parse_presentation_text,
     parse_word,
     smith_normal_form,
 )
@@ -218,31 +216,6 @@ class TestWords:
 
 
 class TestPresentationText:
-    def test_round_trip(self):
-        p = Presentation(3, ((1, -2, 0), (0, 3, 3)))
-        text = format_presentation_text(p)
-        assert parse_presentation_text(text) == p
-
-    def test_comments_and_blanks(self):
-        text = "# leading comment\n\ngens = 2\nrel = 1, -1  # inline\n"
-        assert parse_presentation_text(text) == Presentation(2, ((1, -1),))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "rel = 1,2",                      # missing gens
-            "gens = 2\ngens = 3",             # duplicate gens
-            "gens = two",                     # non-integer count
-            "gens = 2\nrel = 1",              # wrong relation length
-            "gens = 2\nrel = 1; 2",           # bad separator
-            "gens = 2\nspam = 1",             # unknown key
-            "gens = 2\njust text",            # no equals sign
-        ],
-    )
-    def test_rejects(self, bad):
-        with pytest.raises(PresentationError):
-            parse_presentation_text(bad)
-
     def test_presentation_validates_relation_length(self):
         with pytest.raises(PresentationError):
             Presentation(2, ((1, 2, 3),))

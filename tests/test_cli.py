@@ -1,8 +1,14 @@
 """CLI behavior: formats, exit codes, precedence, and deterministic output."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold.cli import (
     EXIT_INVALID,
@@ -245,12 +251,33 @@ class TestExitCodesAndErrors:
         assert code == EXIT_PARSE
         assert "error:" in err
 
-    def test_garbage_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not a manifold\n",
+            GOOD_FILE + "rel = 1,2\n",                  # rel with no gens
+            GOOD_FILE + "gens = 2\nrel = 1\n",          # wrong relation length
+            GOOD_FILE + "gens = 2\nrel = 1; 2\n",       # bad separator
+            GOOD_FILE + "gens = two\n",                 # non-integer count
+            GOOD_FILE + "gens = 2\njust text\n",        # no equals sign
+        ],
+        ids=["junk", "rel-no-gens", "rel-length", "rel-separator", "gens-word", "no-equals"],
+    )
+    def test_garbage_file(self, capsys, tmp_path, text):
         path = tmp_path / "junk.man"
-        path.write_text("not a manifold\n", encoding="ascii")
-        code, _, err = run(capsys, "analyze", "--file", str(path))
+        path.write_text(text, encoding="ascii")
+        code, out, err = run(capsys, "analyze", "--file", str(path))
         assert code == EXIT_PARSE
+        assert out == ""
         assert "error:" in err
+
+    def test_non_ascii_file(self, capsys, tmp_path):
+        path = tmp_path / "accent.man"
+        path.write_bytes(b"name = \xc3\xa9\n")
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
 
     def test_bad_form_in_file(self, capsys, tmp_path):
         path = tmp_path / "badform.man"
@@ -275,8 +302,72 @@ class TestBoundPrecedence:
         _, out, _ = run(capsys, "enumerate", "--family", "M4 n=2", "--bound", "5")
         assert "BOUNDED(5)" in out
 
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("FOURFOLD_BOUND", "many")
-        code, _, err = run(capsys, "enumerate", "--family", "M4 n=2")
+    @pytest.mark.parametrize(
+        "env, flags, named",
+        [
+            ("many", (), "FOURFOLD_BOUND"),
+            ("-3", (), "FOURFOLD_BOUND"),
+            ("7", ("--bound", "-1"), "--bound"),
+        ],
+        ids=["many", "-3", "flag-1"],
+    )
+    def test_bad_env_value(self, capsys, monkeypatch, env, flags, named):
+        monkeypatch.setenv("FOURFOLD_BOUND", env)
+        code, out, err = run(capsys, "enumerate", "--family", "M4 n=2", *flags)
         assert code == EXIT_PARSE
-        assert "FOURFOLD_BOUND" in err
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+
+def _quiet_main(argv, env_bound):
+    """main(argv) with output discarded and FOURFOLD_BOUND set, or unset for None."""
+    sink = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(sink), redirect_stderr(sink):
+        os.environ.pop("FOURFOLD_BOUND", None)
+        if env_bound is not None:
+            os.environ["FOURFOLD_BOUND"] = env_bound
+        return main(argv)
+
+
+# bound values: small integers, both signs, and text that int() rejects
+_BOUND_TEXT = st.one_of(st.integers(-5, 8).map(str), st.text(alphabet="abxyz .+-", max_size=5))
+
+
+def _valid_bound(text):
+    try:
+        return int(text) >= 0
+    except ValueError:
+        return False
+
+
+class TestNoTraceback:
+    """Any file bytes and any bound value end in exit 0, 1 or 2, never a traceback."""
+
+    @given(
+        command=st.sampled_from(["analyze", "enumerate", "validate"]),
+        contents=st.binary(max_size=200),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_arbitrary_file_bytes(self, tmp_path_factory, command, contents):
+        path = tmp_path_factory.mktemp("fuzz") / "record.man"
+        path.write_bytes(contents)
+        argv = [command, "--file", str(path)]
+        if command != "validate":
+            argv += ["--bound", "2"]  # a record that happens to parse stays quick to search
+        assert _quiet_main(argv, None) in (EXIT_OK, EXIT_PARSE, EXIT_INVALID)
+
+    @given(
+        command=st.sampled_from(["analyze", "enumerate"]),
+        flag=st.none() | _BOUND_TEXT,
+        env=st.none() | _BOUND_TEXT,
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_bound_values(self, tmp_path_factory, command, flag, env):
+        path = tmp_path_factory.mktemp("fuzz") / "good.man"
+        path.write_text(GOOD_FILE, encoding="ascii")
+        argv = [command, "--file", str(path)]
+        if flag is not None:
+            argv += ["--bound", flag]
+        chosen = flag if flag is not None else env
+        expected = EXIT_OK if chosen is None or _valid_bound(chosen) else EXIT_PARSE
+        assert _quiet_main(argv, env) == expected

@@ -1,91 +1,17 @@
-"""Backend parity, the int64 guard, and search strategy correctness."""
+"""Witness search: big-integer exactness, input checks and strategy correctness."""
 
 import random
 
 import pytest
 
-from fourfold import search
 from fourfold.forms import IntersectionForm, build_form
-from fourfold.search import (
-    compiled_available,
-    enumerate_witnesses,
-    find_minimal_witness,
-)
+from fourfold.search import enumerate_witnesses, find_minimal_witness
 from oracles import assemble_form, box_solvable, random_summands, summand_residues
-
-needs_kernel = pytest.mark.skipif(
-    not compiled_available(), reason="compiled kernel not built"
-)
-
-
-class TestBackendParity:
-    @needs_kernel
-    def test_identical_results(self):
-        from fourfold import _kernel, _pure
-
-        rng = random.Random(42)
-        for _ in range(150):
-            rank = rng.randint(1, 4)
-            rows = [[0] * rank for _ in range(rank)]
-            for i in range(rank):
-                for j in range(i, rank):
-                    rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-            qflat = [rows[i][j] for i in range(rank) for j in range(rank)]
-            residues = [rng.randint(0, 1) for _ in range(rank)]
-            bound = rng.randint(0, 5)
-            target = rng.randint(-30, 30)
-
-            pure_first = _pure.first_hit(qflat, residues, rank, bound, target)
-            fast_first = _kernel.first_hit(qflat, residues, rank, bound, target)
-            assert _as_tuple(pure_first) == _as_tuple(fast_first)
-
-            pure_all = [_as_tuple(h) for h in _pure.all_hits(qflat, residues, rank, bound, target)]
-            fast_all = [_as_tuple(h) for h in _kernel.all_hits(qflat, residues, rank, bound, target)]
-            assert pure_all == fast_all
-
-            shell = rng.randint(0, bound)
-            pure_shell = _pure.first_hit_on_shell(qflat, residues, rank, shell, target)
-            fast_shell = _kernel.first_hit_on_shell(qflat, residues, rank, shell, target)
-            assert _as_tuple(pure_shell) == _as_tuple(fast_shell)
-
-    @needs_kernel
-    def test_rank_zero(self):
-        from fourfold import _kernel, _pure
-
-        for target in (0, 1):
-            assert _as_tuple(_pure.first_hit([], [], 0, 3, target)) == _as_tuple(
-                _kernel.first_hit([], [], 0, 3, target)
-            )
-
-
-def _as_tuple(hit):
-    return None if hit is None else tuple(int(c) for c in hit)
 
 
 class TestGuards:
-    def test_forced_pure(self, monkeypatch):
-        monkeypatch.setenv("FOURFOLD_PURE", "1")
-        assert search.backend_name() == "pure"
-        q = build_form("H")
-        assert find_minimal_witness(q, (0, 0), 4, -8) == (-2, 2)
-
-    def test_int64_overflow_routes_to_pure(self):
-        from fourfold import _pure
-
-        big = 2**40
-        qflat = [big]
-        assert search._backend(qflat, 5000, 0) is _pure
-
-    def test_small_case_routes_to_kernel(self, monkeypatch):
-        if not compiled_available():
-            pytest.skip("compiled kernel not built")
-        from fourfold import _kernel
-
-        monkeypatch.delenv("FOURFOLD_PURE", raising=False)
-        assert search._backend([0, 1, 1, 0], 32, -8) is _kernel
-
     def test_huge_entries_still_exact(self):
-        # a form too large for int64 must fall back and stay correct
+        # q(h) over this box exceeds 64 bits; the sweep must stay exact
         big = 2**40 + 1
         q = IntersectionForm.diagonal([big])
         target = big * 4
@@ -130,6 +56,7 @@ class TestSearchStrategy:
         hits = enumerate_witnesses(q, (0, 0), 4, -8)
         assert hits == sorted(hits)
         assert hits == [(-2, 2), (2, -2)]
+        assert find_minimal_witness(q, (0, 0), 4, -8) == (-2, 2)
         for h in hits:
             assert all(c % 2 == 0 for c in h)
 
