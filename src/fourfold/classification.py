@@ -22,6 +22,7 @@ from .obstruction import (
     ManifoldInvariants,
     StructureVerdict,
     require_valid,
+    wu_target,
 )
 
 
@@ -78,6 +79,11 @@ class SurfaceKind(enum.Enum):
     GENERAL_TYPE = "general type"
 
 
+_RATIONAL_OR_RULED = frozenset(
+    {SurfaceKind.RATIONAL_S2XS2, SurfaceKind.RATIONAL_CP2, SurfaceKind.RULED}
+)
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """A model surface, possibly blown up.
@@ -130,44 +136,17 @@ def rational_ruled_models(
 ) -> list[ModelMatch]:
     """Rational or ruled models matching (b1, chi, tau) and the form parity.
 
-    Rational models need b1 = 0.  A ruled model S2 x Sigma_g # k CP2bar
-    needs b1 = 2g, chi = 4(1 - g) + k and tau = -k; k > 0 forces an odd
-    intersection form while k = 0 gives the even form H, so parity prunes
-    impossible blow-up counts.  Genus 0 is covered by the rational branch.
+    These are the rational and ruled rows of the minimal-surface table at
+    c1^2 = 2*chi + 3*tau and c2 = chi.  A blow-up puts a class of square -1
+    into the form, so CP2 blow-ups and blown-up ruled models need an odd
+    form, while S2 x S2 and minimal ruled models have the even form H.
     """
-    matches = []
-    if b1 == 0:
-        if chi == 4 and tau == 0 and form_even:
-            matches.append(
-                ModelMatch(
-                    SurfaceModel(SurfaceKind.RATIONAL_S2XS2),
-                    ("b1", "chi", "tau", "parity"),
-                    requires_pi1_check=True,
-                )
-            )
-        k = chi - 3
-        if k >= 0 and tau == 1 - k and not form_even:
-            matches.append(
-                ModelMatch(
-                    SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=k),
-                    ("b1", "chi", "tau", "parity"),
-                    requires_pi1_check=True,
-                )
-            )
-    if b1 % 2 == 0 and b1 >= 2:
-        genus = b1 // 2
-        k = -tau
-        if k >= 0 and chi == 4 * (1 - genus) + k:
-            parity_ok = form_even if k == 0 else not form_even
-            if parity_ok:
-                matches.append(
-                    ModelMatch(
-                        SurfaceModel(SurfaceKind.RULED, genus=genus, blowups=k),
-                        ("b1", "chi", "tau", "parity"),
-                        requires_pi1_check=True,
-                    )
-                )
-    return matches
+    return [
+        ModelMatch(model, ("b1", "chi", "tau", "parity"), requires_pi1_check=True)
+        for model, _ in _ek_rows(b1, wu_target(chi, tau), chi)
+        if model.kind in _RATIONAL_OR_RULED
+        and form_even == (model.kind is not SurfaceKind.RATIONAL_CP2 and model.blowups == 0)
+    ]
 
 
 def _ek_rows(b1: int, c1sq: int, c2: int):
@@ -230,13 +209,8 @@ def ek_filter(b1: int, c1sq: int, c2: int) -> list[ModelMatch]:
     blow-up accounting, nothing more.  An empty result proves no complex
     structure; survivors are candidates, not confirmations.
     """
-    rational_or_ruled = {
-        SurfaceKind.RATIONAL_S2XS2,
-        SurfaceKind.RATIONAL_CP2,
-        SurfaceKind.RULED,
-    }
     return [
-        ModelMatch(model, matched, requires_pi1_check=model.kind in rational_or_ruled)
+        ModelMatch(model, matched, requires_pi1_check=model.kind in _RATIONAL_OR_RULED)
         for model, matched in _ek_rows(b1, c1sq, c2)
     ]
 
@@ -255,7 +229,7 @@ def exclude_symplectic(
     minimality is not established) yields Unknown rather than a guess.
     """
     require_valid(m)
-    c1sq = 2 * m.chi + 3 * m.tau
+    c1sq = wu_target(m.chi, m.tau)
     if c1sq >= 0:
         return StructureVerdict.unknown(
             reasons=[f"c1^2 = {c1sq} >= 0: the negative-square route does not apply"]
@@ -289,7 +263,7 @@ def exclude_complex(
 ) -> StructureVerdict:
     """Complex-structure exclusion through the minimal-surface table."""
     require_valid(m)
-    c1sq = 2 * m.chi + 3 * m.tau
+    c1sq = wu_target(m.chi, m.tau)
     c2 = m.chi
     reasons = []
     if m.b1 != 1:

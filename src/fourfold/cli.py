@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
 from .abelian import Presentation, PresentationError, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import FormError, build_form
+from .forms import _INT_RE, FormError, build_form
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -64,6 +65,15 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("name", "chi", "tau", "form", "b1", "h1")
 
+_INTS_RE = re.compile(rf"\s*{_INT_RE.pattern}\s*(,\s*{_INT_RE.pattern}\s*)*")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers under the form grammar's rule; ValueError otherwise."""
+    if not _INTS_RE.fullmatch(text):
+        raise ValueError(text)
+    return tuple(map(int, text.split(",")))
+
 
 def parse_manifold_file(text: str) -> ManifoldInvariants:
     """Parse the line-oriented manifold format.
@@ -85,7 +95,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         value = value.strip()
         if key == "rel":
             try:
-                relations.append(tuple(int(x.strip()) for x in value.split(",")))
+                relations.append(_ints(value))
             except ValueError:
                 raise ManifoldFileError(f"line {lineno}: bad relation") from None
             continue
@@ -101,10 +111,9 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         raise ManifoldFileError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     def as_int(key: str) -> int:
-        try:
-            return int(values[key])
-        except ValueError:
-            raise ManifoldFileError(f"{key} must be an integer, got {values[key]!r}") from None
+        if not _INT_RE.fullmatch(values[key]):
+            raise ManifoldFileError(f"{key} must be an integer, got {values[key]!r}")
+        return int(values[key])
 
     form = build_form(values["form"])
     h1 = parse_abelian_group(values["h1"])
@@ -115,7 +124,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
             w2 = (0,) * form.rank
         else:
             try:
-                w2 = tuple(int(x.strip()) for x in values["w2"].split(","))
+                w2 = _ints(values["w2"])
             except ValueError:
                 raise ManifoldFileError("w2 must be comma-separated bits or 0") from None
 

@@ -59,10 +59,6 @@ class IntegerMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def block_diagonal(cls, blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
         size = sum(b.rows for b in blocks)
         out = [[0] * size for _ in range(size)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -152,6 +153,11 @@ class ManifoldInvariants:
     def __post_init__(self):
         if self.w2 is not None:
             object.__setattr__(self, "w2", tuple(self.w2))
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """validate_invariants(self), run once for this record object."""
+        return tuple(validate_invariants(self))
 
 
 def wu_target(chi: int, tau: int) -> int:
@@ -306,7 +312,7 @@ def decide_wu_existence(
 def decide_almost_complex(
     m: ManifoldInvariants, bound: int = DEFAULT_BOUND
 ) -> StructureVerdict:
-    """Almost-complex existence for a validated invariant record."""
+    """Almost-complex existence for a valid record (validated once per record)."""
     require_valid(m)
     return decide_wu_existence(
         m.form, resolve_w2(m), wu_target(m.chi, m.tau), bound
@@ -354,7 +360,9 @@ def validate_invariants(m: ManifoldInvariants) -> list[str]:
     """Cross-check a record; returns violation messages (empty when clean).
 
     Violations are data, not exceptions: callers that need a hard failure
-    use require_valid.
+    use require_valid, which runs this once per record through the cached
+    ManifoldInvariants.violations.  This is the one place that decides
+    validity; each call returns a fresh list.
     """
     violations = []
     b2 = m.form.rank
@@ -380,17 +388,21 @@ def validate_invariants(m: ManifoldInvariants) -> list[str]:
                 f"H1 mismatch: presentation abelianizes to {computed}, "
                 f"record says {m.h1}"
             )
-    if m.w2 is not None:
-        if len(m.w2) != b2:
-            violations.append(f"w2 must have length {b2}, got {len(m.w2)}")
-        elif any(v not in (0, 1) for v in m.w2):
-            violations.append("w2 entries must be 0 or 1")
-        elif m.form.is_unimodular and tuple(m.w2) != characteristic_residue(m.form):
-            violations.append("w2 is not the characteristic residue of the form")
+    if m.w2 is None:
+        try:
+            resolve_w2(m)
+        except InvariantError as exc:
+            violations.extend(exc.violations)
+    elif len(m.w2) != b2:
+        violations.append(f"w2 must have length {b2}, got {len(m.w2)}")
+    elif any(v not in (0, 1) for v in m.w2):
+        violations.append("w2 entries must be 0 or 1")
+    elif m.form.is_unimodular and tuple(m.w2) != characteristic_residue(m.form):
+        violations.append("w2 is not the characteristic residue of the form")
     return violations
 
 
 def require_valid(m: ManifoldInvariants) -> None:
-    violations = validate_invariants(m)
-    if violations:
-        raise InvariantError(violations)
+    """Raise InvariantError for an invalid record; validation runs once per record."""
+    if m.violations:
+        raise InvariantError(m.violations)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourfold import obstruction
 from fourfold.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -144,6 +145,21 @@ class TestAnalyze:
         _, second, _ = run(capsys, "analyze", "--family", "M3 g=1 n=2")
         assert first == second
 
+    def test_validates_once(self, capsys, monkeypatch):
+        # decide, symplectic and complex engines all require a valid record;
+        # the presentation's Smith normal form is computed for the first only
+        calls = []
+        original = obstruction.abelianize
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(obstruction, "abelianize", counting)
+        code, _, _ = run(capsys, "analyze", "--family", "M2 g=1 n=2")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestEnumerate:
     def test_complete_marker(self, capsys):
@@ -201,6 +217,19 @@ class TestValidate:
         assert code == EXIT_INVALID
         assert "invalid" in out
         assert "signature mismatch" in out
+
+    def test_underivable_w2(self, capsys, tmp_path):
+        # clean except that w2 is missing on an odd non-unimodular form,
+        # which analyze and enumerate reject too
+        path = tmp_path / "no_w2.man"
+        path.write_text(
+            "name = odd\nchi = 3\ntau = 1\nform = diag(3)\nb1 = 0\nh1 = Z^0\n",
+            encoding="ascii",
+        )
+        code, out, _ = run(capsys, "validate", "--file", str(path))
+        assert code == EXIT_INVALID
+        assert "invalid" in out
+        assert "w2 cannot be derived" in out
 
     def test_tampered_record_blocks_analyze(self, capsys, tmp_path):
         path = tmp_path / "bad.man"
@@ -260,8 +289,13 @@ class TestExitCodesAndErrors:
             GOOD_FILE + "gens = 2\nrel = 1; 2\n",       # bad separator
             GOOD_FILE + "gens = two\n",                 # non-integer count
             GOOD_FILE + "gens = 2\njust text\n",        # no equals sign
+            GOOD_FILE.replace("chi = -4", "chi = 0_4"),  # not the form grammar's integer
+            GOOD_FILE + "gens = 2\nrel = 1_0,2\n",     # same, inside a relation
         ],
-        ids=["junk", "rel-no-gens", "rel-length", "rel-separator", "gens-word", "no-equals"],
+        ids=[
+            "junk", "rel-no-gens", "rel-length", "rel-separator", "gens-word", "no-equals",
+            "chi-underscore", "rel-underscore",
+        ],
     )
     def test_garbage_file(self, capsys, tmp_path, text):
         path = tmp_path / "junk.man"

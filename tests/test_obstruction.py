@@ -1,5 +1,6 @@
 """Wu criterion machinery: targets, spin, residues, decisions, validation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -204,6 +205,13 @@ class TestDecideAlmostComplex:
         m = _record(chi=5)
         with pytest.raises(InvariantError) as exc:
             decide_almost_complex(m)
+        assert any("Euler characteristic" in v for v in exc.value.violations)
+
+    def test_validation_does_not_carry_over_to_a_changed_record(self):
+        m = _record(name="S2xS2")
+        decide_almost_complex(m)
+        with pytest.raises(InvariantError) as exc:
+            decide_almost_complex(dataclasses.replace(m, chi=5))
         assert any("Euler characteristic" in v for v in exc.value.violations)
 
 
