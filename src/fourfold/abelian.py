@@ -165,8 +165,8 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
-_GROUP_RE = re.compile(r"^Z\^(\d+)((?:\s*\+\s*Z/\d+)*)$")
-_TORSION_RE = re.compile(r"Z/(\d+)")
+_GROUP_RE = re.compile(r"^Z\^([0-9]+)((?:\s*\+\s*Z/[0-9]+)*)$")
+_TORSION_RE = re.compile(r"Z/([0-9]+)")
 
 
 def parse_abelian_group(text: str) -> AbelianGroup:
@@ -231,7 +231,7 @@ def abelianize(p: Presentation) -> AbelianGroup:
     return AbelianGroup(p.generators - len(nonzero), torsion)
 
 
-_WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?\d+))?$")
+_WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
 
 
 def parse_word(names: Sequence[str], text: str) -> tuple[int, ...]:

@@ -65,7 +65,7 @@ class FamilyId:
             raise FamilyParameterError(f"unknown family {kind!r}")
         params: dict[str, int] = {}
         for token in tokens[1:]:
-            match = re.fullmatch(r"([gn])=([+-]?\d+)", token)
+            match = re.fullmatch(r"([gn])=([+-]?[0-9]+)", token)
             if not match:
                 raise FamilyParameterError(f"cannot parse parameter {token!r}")
             key = match.group(1)
@@ -189,7 +189,7 @@ def family_invariants(fid: FamilyId) -> ManifoldInvariants:
     )
 
 
-_M4_SHAPE = re.compile(r"^M4\(n=(\d+)\)$")
+_M4_SHAPE = re.compile(r"^M4\(n=([0-9]+)\)$")
 
 
 def known_discrepancies(m: ManifoldInvariants) -> list[str]:

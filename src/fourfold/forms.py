@@ -1,9 +1,9 @@
 """Exact integer symmetric bilinear forms.
 
-Everything here is arbitrary-precision: matrices hold Python ints, signatures
-are computed by congruence diagonalization over the rationals, and
-determinants use fraction-free Bareiss elimination.  No float ever appears, so
-no overflow or rounding can occur at any input size.
+Everything here is arbitrary-precision: matrices hold Python ints, and one
+fraction-free Bareiss pass with symmetric pivoting gives a form's determinant
+and signature together.  No float or rational ever appears, so no overflow or
+rounding can occur at any input size.
 
 Forms can be described in a small text grammar::
 
@@ -17,7 +17,6 @@ Forms can be described in a small text grammar::
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -121,7 +120,7 @@ class IntegerMatrix:
         )
 
     def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact Bareiss determinant of a general, possibly non-symmetric, matrix."""
         if self._rows != self._cols:
             raise FormError("determinant needs a square matrix")
         n = self._rows
@@ -224,8 +223,49 @@ class IntersectionForm:
         return all(self._matrix.entry(i, i) % 2 == 0 for i in range(self.rank))
 
     @cached_property
+    def _inertia(self) -> tuple[int, int]:
+        """(determinant, negative eigenvalue count) by one Bareiss pass in integers.
+
+        A zero pivot is replaced by a nonzero active diagonal entry (rows and
+        columns swapped together); when the whole active diagonal vanishes,
+        row and column j are added to row and column i for some a[i][j] != 0,
+        making 2*a[i][j] the pivot.  Both moves are congruences of determinant
+        1 that fix the leading block, so the pivots are the leading minors
+        D1, ..., Dn of one form congruent to Q: Dn = det Q, and by Jacobi's
+        rule the sign changes along 1, D1, ..., Dn count the negative
+        eigenvalues.  An all-zero active block means det Q = 0.
+        """
+        n = self.rank
+        a = self._matrix.to_lists()
+        prev, negative = 1, 0
+        for k in range(n):
+            if a[k][k] == 0:
+                active = range(k, n)
+                i = next((i for i in active if a[i][i]), None)
+                if i is None:
+                    pair = next(((i, j) for i in active for j in active if a[i][j]), None)
+                    if pair is None:
+                        return 0, 0
+                    i, j = pair
+                    for t in active:
+                        a[i][t] += a[j][t]
+                    for t in active:
+                        a[t][i] += a[t][j]
+                a[k], a[i] = a[i], a[k]
+                for row in a:
+                    row[k], row[i] = row[i], row[k]
+            pivot = a[k][k]
+            negative += (pivot < 0) != (prev < 0)
+            for i in range(k + 1, n):
+                for j in range(i, n):
+                    # exact division is guaranteed by the Bareiss identity
+                    a[i][j] = a[j][i] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            prev = pivot
+        return prev, negative
+
+    @property
     def determinant(self) -> int:
-        return self._matrix.determinant()
+        return self._inertia[0]
 
     @cached_property
     def is_unimodular(self) -> bool:
@@ -233,60 +273,43 @@ class IntersectionForm:
 
     @cached_property
     def signature(self) -> int:
-        """Signature by exact congruence diagonalization over Q.
+        """Positive minus negative eigenvalues, read off the integer pass.
 
-        Sylvester's law of inertia makes the count of positive and negative
-        diagonal entries independent of the diagonalization path.  Raises
-        DegenerateFormError when the determinant vanishes.
+        Raises DegenerateFormError when the determinant vanishes.
         """
-        if self.determinant == 0:
+        determinant, negative = self._inertia
+        if determinant == 0:
             raise DegenerateFormError("signature of a degenerate form is undefined")
-        n = self.rank
-        a = [[Fraction(self._matrix.entry(i, j)) for j in range(n)] for i in range(n)]
-        positive = 0
-        negative = 0
-        for k in range(n):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-                if pivot is not None:
-                    self._swap_symmetric(a, k, pivot)
-                else:
-                    # all active diagonal entries vanish; a nonzero pairing
-                    # a[i][j] exists because the form is nondegenerate
-                    i, j = next(
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if a[i][j] != 0
-                    )
-                    for t in range(n):
-                        a[i][t] += a[j][t]
-                    for t in range(n):
-                        a[t][i] += a[t][j]
-                    if i != k:
-                        self._swap_symmetric(a, k, i)
-            d = a[k][k]
-            if d > 0:
-                positive += 1
-            else:
-                negative += 1
-            for i in range(k + 1, n):
-                f = a[i][k] / d
-                if f == 0:
-                    continue
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(k + 1, n):
-                    a[j][i] = a[i][j]
-                a[i][k] = Fraction(0)
-                a[k][i] = Fraction(0)
-        return positive - negative
+        return self.rank - 2 * negative
 
-    @staticmethod
-    def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+    @cached_property
+    def characteristic_residue(self) -> tuple[int, ...]:
+        """The unique mod-2 class c with pairing(c, x) = q(x) mod 2 for all x.
+
+        Solves (Q c)_i = Q_ii mod 2 by Gaussian elimination over GF(2); on a
+        unimodular form the system is uniquely solvable.  Even forms give the
+        zero vector.  Raises FormError for a form that is not unimodular.
+        """
+        if not self.is_unimodular:
+            raise FormError("characteristic residue needs a unimodular form")
+        n = self.rank
+        rows = [
+            [v & 1 for v in row] + [row[i] & 1]
+            for i, row in enumerate(self._matrix.entries())
+        ]
+        pivots = 0
+        for col in range(n):
+            pivot = next((r for r in range(pivots, n) if rows[r][col]), None)
+            if pivot is None:
+                # cannot happen for unimodular forms: det is odd, so the mod-2
+                # matrix is invertible
+                raise FormError("mod-2 system is singular despite unimodularity")
+            rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
+            for other in range(n):
+                if other != pivots and rows[other][col]:
+                    rows[other] = [a ^ b for a, b in zip(rows[other], rows[pivots])]
+            pivots += 1
+        return tuple(row[n] for row in rows)
 
     @cached_property
     def hyperbolic_summands(self) -> int | None:
@@ -337,8 +360,8 @@ class IntersectionForm:
         return f"IntersectionForm({self.descriptor()!r})"
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_HYPERBOLIC_RE = re.compile(r"^([+-]?\d+)?\s*H$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_HYPERBOLIC_RE = re.compile(r"^([+-]?[0-9]+)?\s*H$")
 _DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL)
 _MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL)
 

@@ -177,33 +177,8 @@ def is_spin(form: IntersectionForm, h1: AbelianGroup) -> SpinStatus:
 
 
 def characteristic_residue(form: IntersectionForm) -> tuple[int, ...]:
-    """The unique mod-2 class c with pairing(c, x) = q(x) mod 2 for all x.
-
-    Solves (Q c)_i = Q_ii mod 2 by Gaussian elimination over GF(2); on a
-    unimodular form the system is uniquely solvable.  Even forms give the
-    zero vector.
-    """
-    if not form.is_unimodular:
-        raise FormError("characteristic residue needs a unimodular form")
-    n = form.rank
-    rows = [
-        [form.matrix.entry(i, j) & 1 for j in range(n)] + [form.matrix.entry(i, i) & 1]
-        for i in range(n)
-    ]
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(len(pivots), n) if rows[r][col]), None)
-        if pivot is None:
-            # cannot happen for unimodular forms: det is odd, so the mod-2
-            # matrix is invertible
-            raise FormError("mod-2 system is singular despite unimodularity")
-        r = len(pivots)
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for other in range(n):
-            if other != r and rows[other][col]:
-                rows[other] = [a ^ b for a, b in zip(rows[other], rows[r])]
-        pivots.append(col)
-    return tuple(rows[i][n] for i in range(n))
+    """form.characteristic_residue, solved once per form; FormError unless unimodular."""
+    return form.characteristic_residue
 
 
 def mod8_filter(form: IntersectionForm, target: int, w2: Sequence[int]) -> bool:

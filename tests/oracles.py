@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Nothing in here calls the decision engines under test: determinants come
-from cofactor expansion, solvability over a box comes from an exact
-per-block value-set convolution, and the raw sweep oracle walks the box
-with numpy.  These deliberately use different algorithms from the package
+from cofactor expansion, signatures from Descartes' rule of signs on the
+integer characteristic polynomial, solvability over a box comes from an
+exact per-block value-set convolution, and the raw sweep oracle walks the
+box with numpy.  These deliberately use different algorithms from the package
 so that agreement is evidence, not circularity.
 """
 
@@ -35,6 +36,46 @@ def cofactor_determinant(rows: Sequence[Sequence[int]]) -> int:
         sign = -1 if j % 2 else 1
         total += sign * head * cofactor_determinant(minor)
     return total
+
+
+def characteristic_polynomial(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients c_0, ..., c_n of det(xI - A), by Faddeev-LeVerrier in integers.
+
+    M_1 = I and M_k = A M_(k-1) + c_(n-k+1) I, with c_(n-k) = -tr(A M_k) / k;
+    the division is exact for an integer matrix.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        trace = sum(rows[i][t] * m[t][i] for i in range(n) for t in range(n))
+        coeffs[n - k], rest = divmod(-trace, k)
+        assert rest == 0, "Faddeev-LeVerrier division must be exact"
+    return coeffs
+
+
+def _sign_changes(coeffs: Sequence[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def descartes_signature(rows: Sequence[Sequence[int]]) -> int:
+    """Positive minus negative eigenvalues of a symmetric integer matrix.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    is exact for its characteristic polynomial p: the sign changes of p(x)
+    count the positive roots and those of p(-x) the negative ones, with
+    multiplicity.
+    """
+    p = characteristic_polynomial(rows)
+    mirrored = [-c if i % 2 else c for i, c in enumerate(p)]
+    return _sign_changes(p) - _sign_changes(mirrored)
 
 
 # Summand vocabulary for assembled forms: "H" or ("diag", d).

@@ -123,7 +123,12 @@ class TestAbelianGroup:
         assert parse_abelian_group("Z^2 + Z/2 + Z/4") == AbelianGroup(2, (2, 4))
         assert parse_abelian_group("  Z^3+Z/5  ") == AbelianGroup(3, (5,))
 
-    @pytest.mark.parametrize("bad", ["Z", "Z/2", "Z^-1", "Z^2 + Z/1", "Z^2 + Z/3 + Z/2", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        ["Z", "Z/2", "Z^-1", "Z^2 + Z/1", "Z^2 + Z/3 + Z/2", "",
+         pytest.param("Z^\uff12", id="fullwidth-rank"),
+         pytest.param("Z^1 + Z/\u0663", id="arabic-indic-torsion")],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(PresentationError):
             parse_abelian_group(bad)
@@ -209,6 +214,8 @@ class TestWords:
             parse_word(self.NAMES, "a1^x")
         with pytest.raises(PresentationError):
             parse_word(self.NAMES, "^2")
+        with pytest.raises(PresentationError):
+            parse_word(self.NAMES, "a1^\u0662")  # ARABIC-INDIC DIGIT TWO
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(PresentationError):

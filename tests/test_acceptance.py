@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+import fourfold
 from fourfold.abelian import abelianize
 from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.families import FamilyId, family_invariants, known_discrepancies
@@ -26,6 +27,20 @@ from fourfold.obstruction import (
     wu_target,
 )
 from oracles import assemble_form, box_solvable, random_summands, summand_residues
+
+
+# the directory holding the fourfold under test, installed or on pytest's path
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(fourfold.__file__)))
+
+
+def _run_cli(argv, env=None, **kwargs):
+    """`python -m fourfold *argv` in a subprocess that imports the same fourfold."""
+    env = dict(os.environ if env is None else env)
+    paths = (_PACKAGE_ROOT, env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fourfold", *argv], capture_output=True, env=env, **kwargs
+    )
 
 
 def _report(num: int, ok: bool, detail: str = ""):
@@ -135,11 +150,7 @@ def test_criterion_05_discrepancy_audit_odd_n(tmp_path):
             bad.append((n, f"randomized search hit {found}"))
 
         # the tool itself: NotExists plus a discrepancy note
-        proc = subprocess.run(
-            [sys.executable, "-m", "fourfold", "analyze", "--family", f"M4 n={n}"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli(["analyze", "--family", f"M4 n={n}"], text=True)
         if proc.returncode != 0 or "NotExists" not in proc.stdout:
             bad.append((n, "cli verdict"))
         if "discrepancy" not in proc.stdout or "not a multiple of 8" not in proc.stdout:
@@ -262,10 +273,7 @@ def test_criterion_10_enumeration_for_prime_genus():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    record = subprocess.run(
-        [sys.executable, "-m", "fourfold", "family", "--family", "M2 g=2 n=1"],
-        capture_output=True,
-    )
+    record = _run_cli(["family", "--family", "M2 g=2 n=1"])
     path = tmp_path / "m2.man"
     path.write_bytes(record.stdout)
     tampered = tmp_path / "bad.man"
@@ -288,11 +296,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         outputs = []
         env = {k: v for k, v in os.environ.items() if k != "FOURFOLD_BOUND"}
         for argv in suite:
-            proc = subprocess.run(
-                [sys.executable, "-m", "fourfold", *argv],
-                capture_output=True,
-                env=env,
-            )
+            proc = _run_cli(argv, env=env)
             outputs.append((argv[0], proc.returncode, proc.stdout, proc.stderr))
         return outputs
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from fourfold.cli import (
     parse_manifold_file,
 )
 from fourfold.families import FamilyId, family_invariants
+from fourfold.forms import IntersectionForm
 
 GOOD_FILE = """\
 # a product of a torus and a genus-2 surface, say
@@ -160,6 +162,30 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("w2", ["w2 = 1,1,1\n", ""], ids=["explicit-w2", "derived-w2"])
+    def test_solves_characteristic_residue_once(self, capsys, tmp_path, monkeypatch, w2):
+        # validation, w2 resolution, the tiered decision and the mod-8 filter
+        # all ask for the residue; the GF(2) system is solved once per form
+        solves = []
+        solve = IntersectionForm.characteristic_residue.func
+
+        def counting(form):
+            solves.append(form)
+            return solve(form)
+
+        counted = cached_property(counting)
+        counted.__set_name__(IntersectionForm, "characteristic_residue")
+        monkeypatch.setattr(IntersectionForm, "characteristic_residue", counted)
+        path = tmp_path / "m.man"
+        path.write_text(
+            "name = cp2-2cp2bar\nchi = 5\ntau = -1\nform = diag(1,-1,-1)\n"
+            "b1 = 0\nh1 = Z^0\n" + w2,
+            encoding="ascii",
+        )
+        code, _, _ = run(capsys, "analyze", "--file", str(path))
+        assert code == EXIT_OK
+        assert len(solves) == 1
+
 
 class TestEnumerate:
     def test_complete_marker(self, capsys):
@@ -274,6 +300,13 @@ class TestExitCodesAndErrors:
         code, _, err = run(capsys, "analyze", "--family", "M1 g=0")
         assert code == EXIT_PARSE
         assert "must be >= 1" in err
+
+    def test_non_ascii_digit_in_family_spec(self, capsys):
+        # ARABIC-INDIC DIGIT ONE is a Unicode digit, not an ASCII one
+        code, out, err = run(capsys, "analyze", "--family", "M1 g=\u0661")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "cannot parse parameter" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--file", str(tmp_path / "absent.man"))

@@ -34,7 +34,8 @@ class TestFamilyId:
     @pytest.mark.parametrize(
         "bad",
         ["", "M5 g=1", "M1", "M1 g=0", "M1 g=-2", "M1 n=2", "M3 g=1",
-         "M1 g=2 g=3", "M1 g=x", "M1 h=2", "M4 n=1 g=1"],
+         "M1 g=2 g=3", "M1 g=x", "M1 h=2", "M4 n=1 g=1",
+         pytest.param("M1 g=\u0661", id="arabic-indic-digit")],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(FamilyParameterError):

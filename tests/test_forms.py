@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold.forms import (
@@ -14,7 +14,7 @@ from fourfold.forms import (
     IntersectionForm,
     build_form,
 )
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, descartes_signature
 
 
 @st.composite
@@ -25,6 +25,30 @@ def symmetric_rows(draw, max_n=5, magnitude=9):
         for j in range(i, n):
             v = draw(st.integers(min_value=-magnitude, max_value=magnitude))
             rows[i][j] = rows[j][i] = v
+    return rows
+
+
+# small entries, and entries on either side of the int64 limits
+_ORACLE_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**63 - 2, 2**63 + 1).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def oracle_rows(draw, max_n=6):
+    """Symmetric rows, some with a zero diagonal, some made degenerate on purpose."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    zero_diagonal = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            rows[i][j] = rows[j][i] = draw(_ORACLE_ENTRY)
+    if n > 1 and draw(st.booleans()):
+        # E^T A E with E's last column replaced by v (v[-1] = 0): det E = 0
+        v = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)) + [0]
+        e = [[int(i == j) for j in range(n - 1)] + [v[i]] for i in range(n)]
+        rows = (IntegerMatrix(e).transpose() @ IntegerMatrix(rows) @ IntegerMatrix(e)).to_lists()
     return rows
 
 
@@ -55,7 +79,10 @@ class TestGrammar:
     @pytest.mark.parametrize(
         "bad",
         ["", "0H", "-1H", "diag()", "diag(1,)", "H2",
-         "matrix [[1,2]]", "matrix [1,2]", "diag(a)", "2 H H"],
+         "matrix [[1,2]]", "matrix [1,2]", "diag(a)", "2 H H",
+         pytest.param("diag(\uff11)", id="fullwidth-digit"),
+         pytest.param("\u0662H", id="arabic-indic-count"),
+         pytest.param("matrix [[\u0661]]", id="arabic-indic-entry")],
     )
     def test_rejects(self, bad):
         with pytest.raises(FormParseError):
@@ -152,6 +179,21 @@ class TestSignature:
     def test_diagonal_closed_form(self, diag):
         q = IntersectionForm.diagonal(diag)
         assert q.signature == sum(1 if d > 0 else -1 for d in diag)
+
+    @given(oracle_rows())
+    @example([[0, 2], [2, 0]])
+    @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=200)
+    def test_matches_exact_oracles(self, rows):
+        q = IntersectionForm(IntegerMatrix(rows))
+        determinant = cofactor_determinant(rows)
+        assert q.determinant == determinant
+        if determinant == 0:
+            with pytest.raises(DegenerateFormError):
+                _ = q.signature
+        else:
+            assert q.signature == descartes_signature(rows)
 
     def test_congruence_invariance(self):
         # signature is invariant under Q -> S^T Q S for unimodular S
