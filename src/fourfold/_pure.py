@@ -3,11 +3,22 @@
 They run on arbitrary-precision integers, so no form entry, bound or target
 is too large for them.
 
-All sweeps walk candidate vectors in lexicographic order; each coordinate i
-ranges over values congruent to residue[i] mod 2 inside [-limit, limit].
+All sweeps report candidate vectors in lexicographic order; each coordinate
+i ranges over values congruent to residue[i] mod 2 inside [-limit, limit].
+Only the first rank - 1 coordinates are walked.  Once they are fixed, q is a
+quadratic in the last coordinate v,
+
+    q(h) = qval + a*v*v + 2*c*v,
+
+with a = Q[last][last], c the cross term of v with the fixed prefix and qval
+the square of the prefix, so the values of v that hit the target are the
+integer roots of a 1-D quadratic (or linear) equation, found with isqrt.  A
+sweep therefore costs O(limit^(rank - 1)) instead of O(limit^rank).
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 MODE_FIRST = 0  # first hit in lexicographic order over the whole box
 MODE_SHELL = 1  # first lex hit whose max-norm equals `limit` exactly
@@ -19,6 +30,32 @@ def _start_value(residue: int, limit: int) -> int:
     if (lo - residue) % 2 != 0:
         lo += 1
     return lo
+
+
+def _last_values(a, c, k, lo, limit):
+    """Every v in range(lo, limit + 1, 2) with a*v*v + 2*c*v + k == 0, ascending."""
+    if a:
+        if a < 0:
+            a, c, k = -a, -c, -k
+        disc = c * c - a * k
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        den, roots = a, ((-c - s, -c + s) if s else (-c,))
+    elif c:
+        den, roots = 2 * c, (-k,)
+    elif k:
+        return ()
+    else:
+        return range(lo, limit + 1, 2)
+    out = []
+    for num in roots:
+        v, rem = divmod(num, den)
+        if not rem and lo <= v <= limit and (v - lo) & 1 == 0:
+            out.append(v)
+    return out
 
 
 def sweep(qflat, residues, rank, limit, target, mode):
@@ -37,6 +74,11 @@ def sweep(qflat, residues, rank, limit, target, mode):
     if any(lo[d] > limit for d in range(rank)):
         return [] if mode == MODE_COLLECT else None
 
+    last = rank - 1
+    a_last = qflat[last * rank + last]
+    lo_last = lo[last]
+    # values of the last coordinate on the shell |v| == limit
+    rim = (-limit, limit) if limit else (0,)
     cur = [0] * rank
     qval = [0] * (rank + 1)
     maxabs = [0] * (rank + 1)
@@ -47,32 +89,32 @@ def sweep(qflat, residues, rank, limit, target, mode):
     d = 0
     cur[0] = lo[0]
     while d >= 0:
+        if d == last:
+            values = _last_values(a_last, cross[d][d], qval[d] - target, lo_last, limit)
+            if values and mode == MODE_SHELL and maxabs[d] < limit:
+                values = [v for v in rim if v in values]
+            if values:
+                if mode != MODE_COLLECT:
+                    cur[d] = values[0]
+                    return tuple(cur)
+                for v in values:
+                    cur[d] = v
+                    hits.append(tuple(cur))
+            d -= 1
+            if d >= 0:
+                cur[d] += 2
+            continue
         v = cur[d]
         if v > limit:
             d -= 1
             if d >= 0:
                 cur[d] += 2
             continue
-        qnext = qval[d] + qflat[d * rank + d] * v * v + 2 * v * cross[d][d]
-        if d == rank - 1:
-            if qnext == target:
-                m = maxabs[d]
-                av = -v if v < 0 else v
-                if av > m:
-                    m = av
-                if mode != MODE_SHELL or m == limit:
-                    found = tuple(cur)
-                    if mode == MODE_COLLECT:
-                        hits.append(found)
-                    else:
-                        return found
-            cur[d] += 2
-            continue
         row_cross = cross[d]
         next_cross = cross[d + 1]
         for i in range(d + 1, rank):
             next_cross[i] = row_cross[i] + qflat[i * rank + d] * v
-        qval[d + 1] = qnext
+        qval[d + 1] = qval[d] + qflat[d * rank + d] * v * v + 2 * v * row_cross[d]
         av = -v if v < 0 else v
         maxabs[d + 1] = av if av > maxabs[d] else maxabs[d]
         d += 1

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .forms import IntegerMatrix
+from .forms import _SPACE, IntegerMatrix
 
 
 class PresentationError(ValueError):
@@ -165,13 +165,13 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
-_GROUP_RE = re.compile(r"^Z\^([0-9]+)((?:\s*\+\s*Z/[0-9]+)*)$")
+_GROUP_RE = re.compile(r"^Z\^([0-9]+)((?:\s*\+\s*Z/[0-9]+)*)$", re.ASCII)
 _TORSION_RE = re.compile(r"Z/([0-9]+)")
 
 
 def parse_abelian_group(text: str) -> AbelianGroup:
     """Parse "Z^r" optionally followed by "+ Z/t" summands."""
-    match = _GROUP_RE.match(text.strip())
+    match = _GROUP_RE.match(text.strip(_SPACE))
     if not match:
         raise PresentationError(f"cannot parse abelian group {text!r}")
     rank = int(match.group(1))
@@ -244,7 +244,7 @@ def parse_word(names: Sequence[str], text: str) -> tuple[int, ...]:
     if len(index) != len(names):
         raise PresentationError("generator names must be distinct")
     out = [0] * len(names)
-    for token in text.split():
+    for token in re.findall(r"\S+", text, re.ASCII):
         match = _WORD_TOKEN_RE.match(token)
         if not match:
             raise PresentationError(f"cannot parse word token {token!r}")

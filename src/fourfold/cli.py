@@ -28,7 +28,7 @@ from typing import Sequence
 from .abelian import Presentation, PresentationError, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import _INT_RE, FormError, build_form
+from .forms import _INT_RE, _SPACE, FormError, build_form
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("name", "chi", "tau", "form", "b1", "h1")
 
-_INTS_RE = re.compile(rf"\s*{_INT_RE.pattern}\s*(,\s*{_INT_RE.pattern}\s*)*")
+_INTS_RE = re.compile(rf"\s*{_INT_RE.pattern}\s*(,\s*{_INT_RE.pattern}\s*)*", re.ASCII)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -85,14 +85,14 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     values: dict[str, str] = {}
     relations: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
         if "=" not in line:
             raise ManifoldFileError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = key.strip(_SPACE)
+        value = value.strip(_SPACE)
         if key == "rel":
             try:
                 relations.append(_ints(value))
@@ -186,16 +186,16 @@ def _load_manifold(args) -> ManifoldInvariants:
 
 
 def _resolve_bound(args) -> int:
+    """The --bound text, else FOURFOLD_BOUND, under the form grammar's integer rule."""
     if args.bound is not None:
-        bound, source = args.bound, "--bound"
+        text, source = args.bound, "--bound"
     else:
-        env = os.environ.get("FOURFOLD_BOUND")
-        if env is None:
+        text, source = os.environ.get("FOURFOLD_BOUND"), "FOURFOLD_BOUND"
+        if text is None:
             return DEFAULT_BOUND
-        try:
-            bound, source = int(env), "FOURFOLD_BOUND"
-        except ValueError:
-            raise _UsageError(f"FOURFOLD_BOUND must be an integer, got {env!r}") from None
+    if not _INT_RE.fullmatch(text):
+        raise _UsageError(f"{source} must be an integer, got {text!r}")
+    bound = int(text)
     if bound < 0:
         raise _UsageError(f"{source} must be nonnegative, got {bound}")
     return bound
@@ -375,13 +375,13 @@ def build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="full structure report")
     _add_source_flags(analyze)
     analyze.add_argument("--assume-pi1-distinct", action="store_true")
-    analyze.add_argument("--bound", type=int, default=None)
+    analyze.add_argument("--bound", default=None)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(handler=_cmd_analyze)
 
     enumerate_cmd = sub.add_parser("enumerate", help="list Chern candidates")
     _add_source_flags(enumerate_cmd)
-    enumerate_cmd.add_argument("--bound", type=int, default=None)
+    enumerate_cmd.add_argument("--bound", default=None)
     enumerate_cmd.add_argument("--json", action="store_true")
     enumerate_cmd.set_defaults(handler=_cmd_enumerate)
 

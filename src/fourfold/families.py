@@ -57,7 +57,7 @@ class FamilyId:
     @classmethod
     def parse(cls, spec: str) -> "FamilyId":
         """Parse CLI syntax like "M1 g=2" or "M3 g=1 n=4"."""
-        tokens = spec.split()
+        tokens = re.findall(r"\S+", spec, re.ASCII)
         if not tokens:
             raise FamilyParameterError("empty family spec")
         kind = tokens[0]

@@ -17,6 +17,7 @@ Forms can be described in a small text grammar::
 from __future__ import annotations
 
 import re
+import string
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -360,21 +361,24 @@ class IntersectionForm:
         return f"IntersectionForm({self.descriptor()!r})"
 
 
+# The grammars take ASCII whitespace only: str.strip(), str.split() and \s
+# without re.ASCII would also take Unicode spaces such as U+3000 and U+00A0.
+_SPACE = string.whitespace
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_HYPERBOLIC_RE = re.compile(r"^([+-]?[0-9]+)?\s*H$")
-_DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL)
-_MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL)
+_HYPERBOLIC_RE = re.compile(r"^([+-]?[0-9]+)?\s*H$", re.ASCII)
+_DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL | re.ASCII)
+_MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL | re.ASCII)
 
 
 def _parse_int(text: str) -> int:
-    text = text.strip()
+    text = text.strip(_SPACE)
     if not _INT_RE.fullmatch(text):
         raise FormParseError(f"expected an integer, got {text!r}")
     return int(text)
 
 
 def _parse_matrix_literal(text: str) -> list[list[int]]:
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = re.sub(r"\s+", "", text, flags=re.ASCII)
     if not (squeezed.startswith("[[") and squeezed.endswith("]]")):
         raise FormParseError(f"malformed matrix literal: {text!r}")
     body = squeezed[2:-2]
@@ -397,7 +401,7 @@ def build_form(spec: str) -> IntersectionForm:
     """
     if not isinstance(spec, str):
         raise FormParseError("form descriptor must be a string")
-    text = spec.strip()
+    text = spec.strip(_SPACE)
     if not text:
         raise FormParseError("empty form descriptor")
 
@@ -410,7 +414,7 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _DIAG_RE.match(text)
     if match:
-        inner = match.group(1).strip()
+        inner = match.group(1).strip(_SPACE)
         if not inner:
             raise FormParseError("diag(...) needs at least one entry")
         entries = [_parse_int(piece) for piece in inner.split(",")]

@@ -15,8 +15,12 @@ exactly.  The decision runs in tiers:
            is an explicit witness whenever target = 0 mod 8.
   tier 2   rank-2 H: divisor enumeration of 2ab = target is complete, which
            also powers complete witness listings.
-  tier 3   bounded box search (default bound 32); exhaustion without a hit
-           is reported as Unknown together with the bound, never as a
+  tier 3   bounded box search (default bound 32): first-hit sweeps over
+           deepening boxes of max-norm 0, 1, 2, 4, ..., bound, each solving
+           the last coordinate as a 1-D quadratic, stop at the first box
+           with a hit; shells below the hit's max-norm then settle the
+           lex-smallest witness of minimal max-norm.  Exhausting the whole box without a hit is
+           reported as Unknown together with the bound, never as a
            nonexistence claim.
 """
 

@@ -3,13 +3,14 @@
 Nothing in here calls the decision engines under test: determinants come
 from cofactor expansion, signatures from Descartes' rule of signs on the
 integer characteristic polynomial, solvability over a box comes from an
-exact per-block value-set convolution, and the raw sweep oracle walks the
-box with numpy.  These deliberately use different algorithms from the package
+exact per-block value-set convolution, and the raw sweep oracles walk the
+box with numpy or with itertools.product.  These deliberately use different algorithms from the package
 so that agreement is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -194,6 +195,23 @@ def numpy_box_exists(
             if np.any(tail_sq + cross + head_sq == target):
                 return True
     return False
+
+
+def box_solutions(
+    rows: Sequence[Sequence[int]], residues: Sequence[int], bound: int, target: int
+) -> list[tuple[int, ...]]:
+    """Every h with h = residues (mod 2), max|h_i| <= bound and h Q h = target.
+
+    Walks the whole box with itertools.product, so the list comes out in
+    lexicographic order; small ranks and bounds only.
+    """
+    n = len(rows)
+    axes = [_allowed_values(r, bound) for r in residues]
+    return [
+        h
+        for h in itertools.product(*axes)
+        if sum(rows[i][j] * h[i] * h[j] for i in range(n) for j in range(n)) == target
+    ]
 
 
 def random_summands(rng: random.Random, max_rank: int = 6):

@@ -127,7 +127,9 @@ class TestAbelianGroup:
         "bad",
         ["Z", "Z/2", "Z^-1", "Z^2 + Z/1", "Z^2 + Z/3 + Z/2", "",
          pytest.param("Z^\uff12", id="fullwidth-rank"),
-         pytest.param("Z^1 + Z/\u0663", id="arabic-indic-torsion")],
+         pytest.param("Z^1 + Z/\u0663", id="arabic-indic-torsion"),
+         pytest.param("Z^1 +\u3000Z/2", id="ideographic-space"),
+         pytest.param("Z^1\u00a0+ Z/2", id="no-break-space")],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(PresentationError):
@@ -216,6 +218,8 @@ class TestWords:
             parse_word(self.NAMES, "^2")
         with pytest.raises(PresentationError):
             parse_word(self.NAMES, "a1^\u0662")  # ARABIC-INDIC DIGIT TWO
+        with pytest.raises(PresentationError):
+            parse_word(self.NAMES, "a1\u3000b1")  # IDEOGRAPHIC SPACE
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(PresentationError):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from unittest import mock
@@ -375,8 +376,11 @@ class TestBoundPrecedence:
             ("many", (), "FOURFOLD_BOUND"),
             ("-3", (), "FOURFOLD_BOUND"),
             ("7", ("--bound", "-1"), "--bound"),
+            ("\u0661", (), "FOURFOLD_BOUND"),
+            ("0_2", (), "FOURFOLD_BOUND"),
+            (" 3", (), "FOURFOLD_BOUND"),
         ],
-        ids=["many", "-3", "flag-1"],
+        ids=["many", "-3", "flag-1", "arabic-indic-digit", "underscore", "space"],
     )
     def test_bad_env_value(self, capsys, monkeypatch, env, flags, named):
         monkeypatch.setenv("FOURFOLD_BOUND", env)
@@ -384,6 +388,18 @@ class TestBoundPrecedence:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["many", "\u0661", "0_2", " 3", "3\n"],
+        ids=["many", "arabic-indic-digit", "underscore", "space", "newline"],
+    )
+    def test_bad_flag_value(self, capsys, monkeypatch, flag):
+        monkeypatch.delenv("FOURFOLD_BOUND", raising=False)
+        code, out, err = run(capsys, "enumerate", "--family", "M4 n=2", "--bound", flag)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error:") and "--bound" in err
 
 
 def _quiet_main(argv, env_bound):
@@ -396,15 +412,13 @@ def _quiet_main(argv, env_bound):
         return main(argv)
 
 
-# bound values: small integers, both signs, and text that int() rejects
-_BOUND_TEXT = st.one_of(st.integers(-5, 8).map(str), st.text(alphabet="abxyz .+-", max_size=5))
+# bound values: small integers, both signs, and text mixing digits with
+# characters an integer may not hold (int() would take "0_0" and " 0")
+_BOUND_TEXT = st.one_of(st.integers(-5, 8).map(str), st.text(alphabet="abxyz .+-0_", max_size=5))
 
 
 def _valid_bound(text):
-    try:
-        return int(text) >= 0
-    except ValueError:
-        return False
+    return re.fullmatch(r"[+-]?[0-9]+", text) is not None and int(text) >= 0
 
 
 class TestNoTraceback:

@@ -35,7 +35,9 @@ class TestFamilyId:
         "bad",
         ["", "M5 g=1", "M1", "M1 g=0", "M1 g=-2", "M1 n=2", "M3 g=1",
          "M1 g=2 g=3", "M1 g=x", "M1 h=2", "M4 n=1 g=1",
-         pytest.param("M1 g=\u0661", id="arabic-indic-digit")],
+         pytest.param("M1 g=\u0661", id="arabic-indic-digit"),
+         pytest.param("M1\u3000g=1", id="ideographic-space"),
+         pytest.param("M1\u00a0g=1", id="no-break-space")],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(FamilyParameterError):

@@ -82,7 +82,11 @@ class TestGrammar:
          "matrix [[1,2]]", "matrix [1,2]", "diag(a)", "2 H H",
          pytest.param("diag(\uff11)", id="fullwidth-digit"),
          pytest.param("\u0662H", id="arabic-indic-count"),
-         pytest.param("matrix [[\u0661]]", id="arabic-indic-entry")],
+         pytest.param("matrix [[\u0661]]", id="arabic-indic-entry"),
+         pytest.param("diag(1,\u3000-1)", id="ideographic-space"),
+         pytest.param("diag(1,\u00a0-1)", id="no-break-space"),
+         pytest.param("2\u3000H", id="ideographic-space-hyperbolic"),
+         pytest.param("matrix [[1,\u00a00],[0,1]]", id="no-break-space-matrix")],
     )
     def test_rejects(self, bad):
         with pytest.raises(FormParseError):

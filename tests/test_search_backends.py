@@ -3,10 +3,25 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fourfold.forms import IntersectionForm, build_form
+from fourfold import _pure
+from fourfold.forms import IntegerMatrix, IntersectionForm, build_form
+from fourfold.obstruction import VerdictStatus, decide_wu_existence
 from fourfold.search import enumerate_witnesses, find_minimal_witness
-from oracles import assemble_form, box_solvable, random_summands, summand_residues
+from oracles import (
+    assemble_form,
+    box_solutions,
+    box_solvable,
+    random_summands,
+    summand_residues,
+)
+
+
+def _minimal(hits):
+    """The lex-smallest of the hits of minimal max-norm, or None."""
+    return min(hits, key=lambda w: (max(map(abs, w), default=0), w), default=None)
 
 
 class TestGuards:
@@ -37,19 +52,12 @@ class TestSearchStrategy:
             for i in range(rank):
                 for j in range(i, rank):
                     rows[i][j] = rows[j][i] = rng.randint(-3, 3)
-            from fourfold.forms import IntegerMatrix
-
             q = IntersectionForm(IntegerMatrix(rows))
             residues = [rng.randint(0, 1) for _ in range(rank)]
             bound = rng.randint(0, 5)
             target = rng.randint(-20, 20)
-            hits = enumerate_witnesses(q, residues, bound, target)
-            got = find_minimal_witness(q, residues, bound, target)
-            if not hits:
-                assert got is None
-            else:
-                expected = min(hits, key=lambda w: (max(abs(c) for c in w), w))
-                assert got == expected
+            hits = box_solutions(rows, residues, bound, target)
+            assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
 
     def test_enumeration_order_and_parity(self):
         q = build_form("H")
@@ -79,8 +87,6 @@ class TestSearchStrategy:
         assert find_minimal_witness(q, (1, 1), 0, 0) is None
 
     def test_rank_zero_form(self):
-        from fourfold.forms import IntegerMatrix
-
         q = IntersectionForm(IntegerMatrix([]))
         assert find_minimal_witness(q, (), 5, 0) == ()
         assert find_minimal_witness(q, (), 5, 1) is None
@@ -100,3 +106,81 @@ class TestSearchStrategy:
                 assert q.evaluate(witness) == target
                 assert max(abs(c) for c in witness) <= bound
                 assert all(c % 2 == r for c, r in zip(witness, residues))
+
+
+# entries: small, within 2 of +-2**63, and beyond 64 bits
+_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-2, 2).map(lambda e: 2**63 + e),
+    st.integers(-2, 2).map(lambda e: -(2**63) + e),
+    st.integers(2**64, 2**70),
+)
+
+
+@st.composite
+def _search_cases(draw):
+    """(rows, residues, bound, target); half the targets are squares in the box."""
+    rank = draw(st.integers(0, 4))
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            rows[i][j] = rows[j][i] = draw(_ENTRY)
+    # the last coordinate's equation degenerates to linear (a == 0) or to a
+    # constant (a == c == 0) on these shapes
+    shape = draw(st.sampled_from(["generic", "zero last diagonal", "zero last row"]))
+    if rank and shape != "generic":
+        rows[-1][-1] = 0
+        if shape == "zero last row":
+            for i in range(rank):
+                rows[i][-1] = rows[-1][i] = 0
+    residues = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
+    bound = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        point = [
+            draw(st.sampled_from([v for v in range(-bound, bound + 1) if (v - r) % 2 == 0] or [0]))
+            for r in residues
+        ]
+        target = sum(rows[i][j] * point[i] * point[j] for i in range(rank) for j in range(rank))
+    else:
+        target = draw(st.integers(-20, 20))
+    return rows, residues, bound, target
+
+
+class TestAgainstBruteForce:
+    """The sweeps and the search strategy against an itertools.product walk."""
+
+    @given(_search_cases())
+    @example(([[1, 2], [2, 0]], [1, 0], 3, 1))
+    @example(([[1, 0], [0, 0]], [1, 0], 3, 1))
+    @example(([[0, 0], [0, 0]], [0, 1], 2, 0))
+    @example(([[2**63 + 1, 1], [1, 0]], [1, 1], 5, 2**63 + 3))
+    # box 4 is the first with a hit, (-4, 1), but (-2, 3) on shell 3 is minimal
+    @example(([[0, 2], [2, 1]], [0, 1], 4, -15))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_search_matches_box_solutions(self, case):
+        rows, residues, bound, target = case
+        rank = len(rows)
+        hits = box_solutions(rows, residues, bound, target)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert enumerate_witnesses(q, residues, bound, target) == hits
+        assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
+        flat = [x for row in rows for x in row]
+        assert _pure.first_hit(flat, residues, rank, bound, target) == (hits[0] if hits else None)
+        for shell in range(bound + 1):
+            on_shell = [h for h in hits if max(map(abs, h), default=0) == shell]
+            got = _pure.first_hit_on_shell(flat, residues, rank, shell, target)
+            assert got == (on_shell[0] if on_shell else None)
+
+
+class TestWorstCase:
+    """Rational surfaces at the default bound, which a full-box sweep takes minutes on."""
+
+    def test_cp2_7cp2bar(self):
+        q = IntersectionForm.diagonal([1] + [-1] * 7)
+        assert find_minimal_witness(q, (1,) * 8, 32, 2) == (-3,) + (-1,) * 7
+
+    def test_decide_cp2_8cp2bar(self):
+        q = IntersectionForm.diagonal([1] + [-1] * 8)
+        verdict = decide_wu_existence(q, (1,) * 9, 1, bound=32)
+        assert verdict.status is VerdictStatus.EXISTS
+        assert verdict.witness.coefficients == (-3,) + (-1,) * 8
