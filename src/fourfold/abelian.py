@@ -1,9 +1,11 @@
 """Smith normal form and finitely generated abelian groups.
 
-The Smith normal form here returns the full factorization D = U * M * V with
-unimodular U and V, diagonal entries nonnegative and arranged in a
-divisibility chain d1 | d2 | ... .  Group presentations are abelianized by
-reading torsion and free rank off the diagonal.
+One elimination routine brings an integer matrix to Smith normal form:
+diagonal entries nonnegative and arranged in a divisibility chain
+d1 | d2 | ... .  It records the unimodular transforms only when asked:
+smith_normal_form returns the full factorization D = U * M * V, while
+abelianize runs without transforms on the relation rows and reads torsion
+and free rank off the diagonal.
 """
 
 from __future__ import annotations
@@ -19,16 +21,108 @@ class PresentationError(ValueError):
     """Invalid presentation data or text."""
 
 
-def _smallest_nonzero(a: list[list[int]], start: int) -> tuple[int, int] | None:
+def _pivot(a: list[list[int]], start: int) -> tuple[int, int] | None:
+    """A smallest nonzero entry of the active block, or None when it is zero.
+
+    A unit is as small as an entry can be, so the scan stops at the first.
+    """
     best = None
-    best_abs = None
+    best_abs = 0
     for i in range(start, len(a)):
-        for j in range(start, len(a[0]) if a else 0):
-            v = a[i][j]
-            if v != 0 and (best_abs is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
+        row = a[i]
+        for j in range(start, len(row)):
+            x = row[j]
+            if x:
+                if x == 1 or x == -1:
+                    return i, j
+                if best is None or abs(x) < best_abs:
+                    best, best_abs = (i, j), abs(x)
     return best
+
+
+def _eliminate(
+    a: list[list[int]],
+    u: list[list[int]] | None = None,
+    v: list[list[int]] | None = None,
+) -> None:
+    """Bring the rows a to Smith normal form in place.
+
+    Optional identity matrices u and v take every row and column operation
+    too, so that afterwards a = u * a_before * v.  Pivots are a smallest
+    nonzero entry of the active block, which keeps intermediate entries
+    small.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    left = [a] if u is None else [a, u]  # matrices that take row operations
+    right = [a] if v is None else [a, v]  # matrices that take column operations
+
+    def swap_rows(i, j):
+        for m in left:
+            m[i], m[j] = m[j], m[i]
+
+    def swap_cols(i, j):
+        for m in right:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, factor):
+        # row_dst += factor * row_src
+        for m in left:
+            m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
+
+    t = 0
+    while t < min(rows, cols):
+        pick = _pivot(a, t)
+        if pick is None:
+            break
+        swap_rows(t, pick[0])
+        swap_cols(t, pick[1])
+        if a[t][t] < 0:
+            for m in left:
+                m[t] = [-x for x in m[t]]
+
+        while True:
+            pivot = a[t][t]
+            # clear the pivot column; a nonzero remainder is smaller than the
+            # pivot, so it is promoted to pivot and the clearing restarts
+            restart = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // pivot))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # clear the pivot row; the pivot column is zero off the pivot
+            # now, so a column operation changes only row t of a
+            top = a[t]
+            for j in range(t + 1, cols):
+                if top[j]:
+                    q = top[j] // pivot
+                    top[j] -= q * pivot
+                    if v is not None:
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if top[j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            if pivot == 1:
+                break
+            # enforce divisibility: the pivot must divide the remaining block
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
 
 
 def smith_normal_form(
@@ -37,97 +131,13 @@ def smith_normal_form(
     """Return (D, U, V) with D = U @ m @ V in Smith normal form.
 
     U and V are unimodular; D is diagonal with nonnegative entries satisfying
-    d1 | d2 | ... .  Pivots are chosen as the smallest nonzero absolute value
-    in the active block, which keeps intermediate entries small.
+    d1 | d2 | ... .
     """
-    rows, cols = m.rows, m.cols
     a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        # row_dst += factor * row_src, mirrored into U
-        arow, asrc = a[dst], a[src]
-        for t in range(cols):
-            arow[t] += factor * asrc[t]
-        urow, usrc = u[dst], u[src]
-        for t in range(rows):
-            urow[t] += factor * usrc[t]
-
-    def add_col(dst, src, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pick = _smallest_nonzero(a, t)
-        if pick is None:
-            break
-        swap_rows(t, pick[0])
-        swap_cols(t, pick[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        while True:
-            # clear the pivot column
-            restart = False
-            for i in range(t + 1, rows):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t] != 0:
-                    # remainder is strictly smaller; promote it to pivot
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # enforce divisibility: pivot must divide the remaining block
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-
-    d = IntegerMatrix(a)
-    return d, IntegerMatrix(u), IntegerMatrix(v)
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    _eliminate(a, u, v)
+    return IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(v)
 
 
 @dataclass(frozen=True)
@@ -222,11 +232,9 @@ def abelianize(p: Presentation) -> AbelianGroup:
     free rank is generators minus the number of nonzero pivots, and pivots
     greater than 1 are the torsion coefficients.
     """
-    if not p.relations:
-        return AbelianGroup(p.generators)
-    d, _, _ = smith_normal_form(IntegerMatrix(p.relations))
-    pivots = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
-    nonzero = [x for x in pivots if x != 0]
+    a = [list(r) for r in p.relations]
+    _eliminate(a)
+    nonzero = [a[i][i] for i in range(min(len(a), p.generators)) if a[i][i]]
     torsion = tuple(x for x in nonzero if x > 1)
     return AbelianGroup(p.generators - len(nonzero), torsion)
 

@@ -114,6 +114,8 @@ class SurfaceModel:
             base = "CP2"
         elif self.kind is SurfaceKind.RULED:
             base = f"S2 x Sigma_{self.genus}"
+        elif self.kind is SurfaceKind.KODAIRA_SURFACE:
+            base = self.kind.value
         else:
             base = self.kind.value + " surface"
         if self.blowups:

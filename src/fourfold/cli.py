@@ -84,7 +84,9 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     """
     values: dict[str, str] = {}
     relations: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" (a "\r" before it is stripped with the whitespace);
+    # str.splitlines() would also end them at "\x0b", "\x0c" and "\x1c"-"\x1e"
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue

@@ -1,9 +1,10 @@
 """Exact integer symmetric bilinear forms.
 
-Everything here is arbitrary-precision: matrices hold Python ints, and one
-fraction-free Bareiss pass with symmetric pivoting gives a form's determinant
-and signature together.  No float or rational ever appears, so no overflow or
-rounding can occur at any input size.
+Everything here is arbitrary-precision: matrices hold Python ints, and a
+form's determinant and signature come together from one fraction-free
+Bareiss pass with symmetric pivoting per orthogonal block.  No float or
+rational ever appears, so no overflow or rounding can occur at any input
+size.
 
 Forms can be described in a small text grammar::
 
@@ -157,6 +158,66 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self._data]!r})"
 
 
+def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Index sets of the connected components of a symmetric matrix's
+    off-diagonal graph, each ascending, ordered by their smallest index."""
+    seen: set[int] = set()
+    blocks = []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        seen.add(start)
+        block = [start]
+        for i in block:  # block grows while it is walked
+            for j, x in enumerate(rows[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _bareiss_inertia(a: list[list[int]]) -> tuple[int, int]:
+    """(determinant, negative eigenvalue count) of the symmetric rows a,
+    by one Bareiss pass in integers; a is overwritten.
+
+    A zero pivot is replaced by a nonzero active diagonal entry (rows and
+    columns swapped together); when the whole active diagonal vanishes, row
+    and column j are added to row and column i for some a[i][j] != 0, making
+    2*a[i][j] the pivot.  Both moves are congruences of determinant 1 that
+    fix the leading block, so the pivots are the leading minors D1, ..., Dn
+    of one form congruent to a: Dn = det a, and by Jacobi's rule the sign
+    changes along 1, D1, ..., Dn count the negative eigenvalues.  An
+    all-zero active block means det a = 0, reported as (0, 0).
+    """
+    n = len(a)
+    prev, negative = 1, 0
+    for k in range(n):
+        if a[k][k] == 0:
+            active = range(k, n)
+            i = next((i for i in active if a[i][i]), None)
+            if i is None:
+                pair = next(((i, j) for i in active for j in active if a[i][j]), None)
+                if pair is None:
+                    return 0, 0
+                i, j = pair
+                for t in active:
+                    a[i][t] += a[j][t]
+                for t in active:
+                    a[t][i] += a[t][j]
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[i] = row[i], row[k]
+        pivot = a[k][k]
+        negative += (pivot < 0) != (prev < 0)
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                # exact division is guaranteed by the Bareiss identity
+                a[i][j] = a[j][i] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return prev, negative
+
+
 _HYPERBOLIC_ROWS = ((0, 1), (1, 0))
 
 
@@ -225,44 +286,24 @@ class IntersectionForm:
 
     @cached_property
     def _inertia(self) -> tuple[int, int]:
-        """(determinant, negative eigenvalue count) by one Bareiss pass in integers.
+        """(determinant, negative eigenvalue count), one integer pass per block.
 
-        A zero pivot is replaced by a nonzero active diagonal entry (rows and
-        columns swapped together); when the whole active diagonal vanishes,
-        row and column j are added to row and column i for some a[i][j] != 0,
-        making 2*a[i][j] the pivot.  Both moves are congruences of determinant
-        1 that fix the leading block, so the pivots are the leading minors
-        D1, ..., Dn of one form congruent to Q: Dn = det Q, and by Jacobi's
-        rule the sign changes along 1, D1, ..., Dn count the negative
-        eigenvalues.  An all-zero active block means det Q = 0.
+        The form splits into the connected components of its off-diagonal
+        graph; grouping each component's indices is a simultaneous
+        permutation of rows and columns, which keeps the determinant and the
+        inertia.  So the determinant is the product of the blocks'
+        determinants, the negative count their sum, and a degenerate block
+        makes the whole form degenerate, reported as (0, 0).
         """
-        n = self.rank
-        a = self._matrix.to_lists()
-        prev, negative = 1, 0
-        for k in range(n):
-            if a[k][k] == 0:
-                active = range(k, n)
-                i = next((i for i in active if a[i][i]), None)
-                if i is None:
-                    pair = next(((i, j) for i in active for j in active if a[i][j]), None)
-                    if pair is None:
-                        return 0, 0
-                    i, j = pair
-                    for t in active:
-                        a[i][t] += a[j][t]
-                    for t in active:
-                        a[t][i] += a[t][j]
-                a[k], a[i] = a[i], a[k]
-                for row in a:
-                    row[k], row[i] = row[i], row[k]
-            pivot = a[k][k]
-            negative += (pivot < 0) != (prev < 0)
-            for i in range(k + 1, n):
-                for j in range(i, n):
-                    # exact division is guaranteed by the Bareiss identity
-                    a[i][j] = a[j][i] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            prev = pivot
-        return prev, negative
+        rows = self._matrix.entries()
+        determinant, negative = 1, 0
+        for block in _components(rows):
+            d, neg = _bareiss_inertia([[rows[i][j] for j in block] for i in block])
+            if d == 0:
+                return 0, 0
+            determinant *= d
+            negative += neg
+        return determinant, negative
 
     @property
     def determinant(self) -> int:

@@ -321,15 +321,16 @@ def enumerate_chern_classes(
     residue = resolve_w2(m)
     target = wu_target(m.chi, m.tau)
 
+    # every divisor pair and sweep hit has square target by construction
     if form.hyperbolic_summands == 1 and residue == (0, 0) and target != 0:
         pairs = _hyperbolic_pair_witnesses(target)
         return ChernEnumeration(
-            tuple(ChernWitness.on_form(form, p) for p in pairs), complete=True
+            tuple(ChernWitness(p, target) for p in pairs), complete=True
         )
 
     hits = search.enumerate_witnesses(form, residue, bound, target)
     return ChernEnumeration(
-        tuple(ChernWitness.on_form(form, h) for h in hits),
+        tuple(ChernWitness(h, target) for h in hits),
         complete=False,
         bound=bound,
     )

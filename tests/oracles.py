@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 Nothing in here calls the decision engines under test: determinants come
-from cofactor expansion, signatures from Descartes' rule of signs on the
+from cofactor expansion, Smith diagonals from the gcds of minors
+(determinantal divisors), signatures from Descartes' rule of signs on the
 integer characteristic polynomial, solvability over a box comes from an
 exact per-block value-set convolution, and the raw sweep oracles walk the
 box with numpy or with itertools.product.  These deliberately use different algorithms from the package
@@ -11,6 +12,7 @@ so that agreement is evidence, not circularity.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Sequence
 
@@ -37,6 +39,31 @@ def cofactor_determinant(rows: Sequence[Sequence[int]]) -> int:
         sign = -1 if j % 2 else 1
         total += sign * head * cofactor_determinant(minor)
     return total
+
+
+def determinantal_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """d_1, ..., d_r for r = min(rows, cols): d_k is the gcd of all k x k minors.
+
+    Minors come from cofactor_determinant.  The Smith diagonal is
+    d_1, d_2 / d_1, d_3 / d_2, ..., with 0 from the first d_k = 0 on.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for picked_rows in itertools.combinations(range(m), k):
+            for picked_cols in itertools.combinations(range(n), k):
+                minor = [[rows[i][j] for j in picked_cols] for i in picked_rows]
+                g = math.gcd(g, cofactor_determinant(minor))
+        out.append(g)
+    return out
+
+
+def quadratic_value(rows: Sequence[Sequence[int]], h: Sequence[int]) -> int:
+    """h Q h, summed entry by entry."""
+    n = len(rows)
+    return sum(rows[i][j] * h[i] * h[j] for i in range(n) for j in range(n))
 
 
 def characteristic_polynomial(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -205,13 +232,8 @@ def box_solutions(
     Walks the whole box with itertools.product, so the list comes out in
     lexicographic order; small ranks and bounds only.
     """
-    n = len(rows)
     axes = [_allowed_values(r, bound) for r in residues]
-    return [
-        h
-        for h in itertools.product(*axes)
-        if sum(rows[i][j] * h[i] * h[j] for i in range(n) for j in range(n)) == target
-    ]
+    return [h for h in itertools.product(*axes) if quadratic_value(rows, h) == target]
 
 
 def random_summands(rng: random.Random, max_rank: int = 6):

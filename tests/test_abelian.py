@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold.abelian import (
@@ -16,6 +16,7 @@ from fourfold.abelian import (
     smith_normal_form,
 )
 from fourfold.forms import IntegerMatrix
+from oracles import determinantal_divisors
 
 
 @st.composite
@@ -95,6 +96,33 @@ class TestSmithNormalForm:
         d1, _, _ = smith_normal_form(m)
         d2, _, _ = smith_normal_form(IntegerMatrix(rows))
         assert _diagonal_pivots(d1) == _diagonal_pivots(d2)
+
+
+def _smith_diagonal(rows):
+    """The Smith diagonal from the determinantal divisors alone."""
+    out, prev = [], 1
+    for d in determinantal_divisors(rows):
+        out.append(d // prev if d else 0)
+        prev = d
+    return out
+
+
+class TestAgainstDeterminantalDivisors:
+    @given(integer_matrices(max_n=5, magnitude=6))
+    @settings(max_examples=200, derandomize=True)
+    @example(IntegerMatrix([[2, 0], [0, 3]]))
+    @example(IntegerMatrix([[4, 6], [6, 9]]))
+    @example(IntegerMatrix([[0, 0, 0], [0, 0, 0]]))
+    @example(IntegerMatrix([[6, 10, 15], [2, 4, 8]]))
+    @example(IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    def test_diagonal_and_group(self, m):
+        rows = m.to_lists()
+        expected = _smith_diagonal(rows)
+        d, _, _ = smith_normal_form(m)
+        assert _diagonal_pivots(d) == expected
+        nonzero = [x for x in expected if x]
+        group = AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == group
 
 
 class TestAbelianGroup:

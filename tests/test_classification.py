@@ -66,6 +66,21 @@ class TestMinimality:
         assert not is_minimal_by_parity(build_form("diag(1,-1)"))
 
 
+_KIND_STR = {
+    SurfaceKind.RATIONAL_S2XS2: "S2 x S2",
+    SurfaceKind.RATIONAL_CP2: "CP2",
+    SurfaceKind.RULED: "S2 x Sigma_1",
+    SurfaceKind.CLASS_VII: "class VII surface",
+    SurfaceKind.ENRIQUES: "Enriques surface",
+    SurfaceKind.BI_ELLIPTIC: "bi-elliptic surface",
+    SurfaceKind.KODAIRA_SURFACE: "Kodaira surface",
+    SurfaceKind.K3: "K3 surface",
+    SurfaceKind.TORUS: "torus surface",
+    SurfaceKind.PROPERLY_ELLIPTIC: "properly elliptic surface",
+    SurfaceKind.GENERAL_TYPE: "general type surface",
+}
+
+
 class TestSurfaceModel:
     def test_str(self):
         assert str(SurfaceModel(SurfaceKind.RATIONAL_S2XS2)) == "S2 x S2"
@@ -76,6 +91,11 @@ class TestSurfaceModel:
             str(SurfaceModel(SurfaceKind.CLASS_VII, blowups=2))
             == "class VII surface # 2 CP2bar"
         )
+
+    @pytest.mark.parametrize("kind", list(SurfaceKind))
+    def test_str_of_every_kind(self, kind):
+        genus = 1 if kind is SurfaceKind.RULED else None
+        assert str(SurfaceModel(kind, genus=genus)) == _KIND_STR[kind]
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,24 @@ class TestManifoldFiles:
         text = GOOD_FILE.replace("w2 = 0\n", "")
         assert parse_manifold_file(text).w2 is None
 
+    def test_crlf_line_ends(self):
+        assert parse_manifold_file(GOOD_FILE.replace("\n", "\r\n")) == parse_manifold_file(
+            GOOD_FILE
+        )
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_newline_ends_a_line(self, capsys, tmp_path, char):
+        # str.splitlines() would split "name = sample<char>chi = -4" in two
+        path = tmp_path / "m.man"
+        path.write_text(
+            GOOD_FILE.replace("name = sample\nchi = -4", f"name = sample{char}chi = -4"),
+            encoding="ascii",
+        )
+        code, out, err = run(capsys, "validate", "--file", str(path))
+        assert code == EXIT_PARSE
+        assert "missing required keys: chi" in err
+        assert out == ""
+
     def test_presentation_lines(self):
         text = GOOD_FILE.replace("w2 = 0\n", "") + "gens = 2\nrel = 0,3\n"
         m = parse_manifold_file(text)

@@ -101,11 +101,11 @@ class TestRecords:
             assert is_spin(m.form, m.h1) is SpinStatus.SPIN, str(fid)
 
     def test_presentations_abelianize_to_h1(self):
-        for fid in [
-            FamilyId("M1", g=2),
-            FamilyId("M2", g=3, n=2),
-            FamilyId("M4", n=3),
-        ]:
+        # the benchmark's family grid, up to M4 n=80 (M3 has no presentation)
+        fids = [FamilyId("M1", g=g) for g in (1, 2, 4, 8)]
+        fids += [FamilyId("M2", g=g, n=n) for g in (1, 2, 3) for n in (1, 2, 3)]
+        fids += [FamilyId("M4", n=n) for n in (1, 2, 3, 5, 10, 20, 40, 80)]
+        for fid in fids:
             m = family_invariants(fid)
             assert abelianize(m.presentation) == m.h1, str(fid)
 

@@ -1,5 +1,6 @@
 """Form grammar, exact evaluation, signature and determinant."""
 
+import math
 import random
 
 import pytest
@@ -214,6 +215,75 @@ class TestSignature:
             s = _random_unimodular(rng, n)
             transformed = IntersectionForm(s.transpose() @ q.matrix @ s)
             assert transformed.signature == q.signature
+
+
+# the E8 root lattice: Cartan matrix of the E8 Dynkin diagram, det 1
+_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
+_E8_ROWS = [
+    [2 if i == j else -((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(8)]
+    for i in range(8)
+]
+
+
+def _permuted_block_sum(blocks, perm):
+    """The block sum of blocks, rows and columns both reordered by perm."""
+    n = sum(len(b) for b in blocks)
+    q = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            q[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return [[q[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def permuted_block_sums(draw):
+    """(rows, blocks): H, E8, <d> and small symmetric blocks, summed and permuted."""
+    block = st.one_of(
+        st.just([[0, 1], [1, 0]]),
+        st.integers(-5, 5).map(lambda d: [[d]]),
+        symmetric_rows(max_n=3, magnitude=3),
+    )
+    blocks = draw(st.lists(block, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1, -1]))
+        e8 = [[sign * x for x in row] for row in _E8_ROWS]
+        blocks.insert(draw(st.integers(0, len(blocks))), e8)
+    n = sum(len(b) for b in blocks)
+    return _permuted_block_sum(blocks, draw(st.permutations(range(n)))), blocks
+
+
+class TestBlockwisePass:
+    @given(permuted_block_sums())
+    @settings(max_examples=150, derandomize=True)
+    def test_matches_oracles(self, case):
+        rows, blocks = case
+        q = IntersectionForm(IntegerMatrix(rows))
+        determinant = math.prod(cofactor_determinant(b) for b in blocks)
+        if len(rows) <= 6:
+            assert cofactor_determinant(rows) == determinant
+        assert q.determinant == determinant
+        if determinant == 0:
+            with pytest.raises(DegenerateFormError):
+                _ = q.signature
+        else:
+            assert q.signature == descartes_signature(rows)
+
+    def test_one_degenerate_block(self):
+        blocks = [[[0, 1], [1, 0]], _E8_ROWS, [[1, 1], [1, 1]], [[3]]]
+        perm = list(range(13))
+        random.Random(6).shuffle(perm)
+        q = IntersectionForm(IntegerMatrix(_permuted_block_sum(blocks, perm)))
+        assert q.determinant == 0
+        with pytest.raises(DegenerateFormError):
+            _ = q.signature
+
+    def test_large_hyperbolic_sum(self):
+        perm = list(range(160))
+        random.Random(80).shuffle(perm)
+        q = IntersectionForm(IntegerMatrix(_permuted_block_sum([[[0, 1], [1, 0]]] * 80, perm)))
+        assert (q.determinant, q.signature) == (1, 0)
 
 
 def _random_unimodular(rng, n):

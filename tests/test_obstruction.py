@@ -26,7 +26,7 @@ from fourfold.obstruction import (
     wu_target,
 )
 from fourfold.obstruction import _hyperbolic_pair_witnesses
-from oracles import box_solvable
+from oracles import box_solutions, box_solvable, quadratic_value
 
 
 def _record(name="X", chi=4, tau=0, form="H", b1=0, h1=None, **kw):
@@ -250,6 +250,29 @@ class TestEnumeration:
 
     def test_divisor_route_rejects_non_multiples_of_eight(self):
         assert _hyperbolic_pair_witnesses(12) == []
+
+    @pytest.mark.parametrize(
+        "record, bound",
+        [
+            (_record(name="S2xS2"), 32),  # divisor route
+            (_record(chi=0, tau=0, form="H", b1=2, h1=AbelianGroup(2)), 4),
+            (_record(chi=4, tau=0, form="2H", b1=1), 4),
+            (_record(chi=6, tau=-2, form="diag(1,-1,-1,-1)"), 5),
+            (_record(chi=4, tau=0, form="diag(2,-2)", w2=(0, 0)), 6),
+        ],
+    )
+    def test_every_witness_has_the_target_square(self, record, bound):
+        rows = record.form.matrix.to_lists()
+        target = wu_target(record.chi, record.tau)
+        enum = enumerate_chern_classes(record, bound)
+        assert enum.witnesses
+        for w in enum.witnesses:
+            assert w.square == target
+            assert quadratic_value(rows, w.coefficients) == target
+        if not enum.complete:
+            assert [w.coefficients for w in enum.witnesses] == box_solutions(
+                rows, resolve_w2(record), bound, target
+            )
 
     def test_negation_closure(self):
         enum = enumerate_chern_classes(_record(name="S2xS2"))
