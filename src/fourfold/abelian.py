@@ -17,6 +17,9 @@ from typing import Sequence
 from .forms import _SPACE, IntegerMatrix
 
 
+_INT_TYPE = frozenset({int})
+
+
 class PresentationError(ValueError):
     """Invalid presentation data or text."""
 
@@ -215,9 +218,12 @@ class Presentation:
                 raise PresentationError(
                     f"relation {rel} does not have {self.generators} entries"
                 )
-            for x in rel:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise PresentationError(f"relation entries must be ints, got {x!r}")
+            # one pass over the entries' types; a row that holds any type
+            # but int itself is then checked entry by entry
+            if not _INT_TYPE.issuperset(map(type, rel)):
+                for x in rel:
+                    if isinstance(x, bool) or not isinstance(x, int):
+                        raise PresentationError(f"relation entries must be ints, got {x!r}")
         if self.generator_names:
             names = tuple(self.generator_names)
             if len(names) != self.generators:

@@ -65,12 +65,16 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("name", "chi", "tau", "form", "b1", "h1")
 
-_INTS_RE = re.compile(rf"\s*{_INT_RE.pattern}\s*(,\s*{_INT_RE.pattern}\s*)*", re.ASCII)
+# digits, signs, commas and ASCII whitespace; int() rejects every other
+# misuse of them (an empty or blank piece, a sign alone or twice, a space
+# inside a number), so the two together take exactly the form grammar's
+# integers, comma-separated, each with optional whitespace around it
+_INTS_CHARS_RE = re.compile(r"[0-9+\-,\s]*", re.ASCII)
 
 
 def _ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers under the form grammar's rule; ValueError otherwise."""
-    if not _INTS_RE.fullmatch(text):
+    if not _INTS_CHARS_RE.fullmatch(text):
         raise ValueError(text)
     return tuple(map(int, text.split(",")))
 

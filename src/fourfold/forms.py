@@ -56,6 +56,15 @@ class IntegerMatrix:
         self._data = data
 
     @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...]) -> "IntegerMatrix":
+        """A matrix on rows the caller built as equal-length tuples of ints."""
+        m = cls.__new__(cls)
+        m._data = data
+        m._rows = len(data)
+        m._cols = len(data[0]) if data else 0
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -97,11 +106,7 @@ class IntegerMatrix:
     def is_symmetric(self) -> bool:
         if self._rows != self._cols:
             return False
-        return all(
-            self._data[i][j] == self._data[j][i]
-            for i in range(self._rows)
-            for j in range(i + 1, self._cols)
-        )
+        return tuple(zip(*self._data)) == self._data
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
@@ -218,9 +223,6 @@ def _bareiss_inertia(a: list[list[int]]) -> tuple[int, int]:
     return prev, negative
 
 
-_HYPERBOLIC_ROWS = ((0, 1), (1, 0))
-
-
 class IntersectionForm:
     """Symmetric integer matrix with cached structural metadata.
 
@@ -241,8 +243,13 @@ class IntersectionForm:
         """Direct sum of k copies of the hyperbolic plane."""
         if k < 1:
             raise FormError("hyperbolic sum needs k >= 1")
-        h = IntegerMatrix(_HYPERBOLIC_ROWS)
-        return cls(IntegerMatrix.block_diagonal([h] * k))
+        n = 2 * k
+        rows = []
+        for i in range(n):
+            row = [0] * n
+            row[i ^ 1] = 1  # i's partner in its plane
+            rows.append(tuple(row))
+        return cls(IntegerMatrix._trusted(tuple(rows)))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntersectionForm":
@@ -363,13 +370,10 @@ class IntersectionForm:
         n = self.rank
         if n == 0 or n % 2 != 0:
             return None
-        m = self._matrix
-        for i in range(n):
-            for j in range(n):
-                pair_block = i // 2 == j // 2
-                expected = 1 if (pair_block and i != j) else 0
-                if m.entry(i, j) != expected:
-                    return None
+        for i, row in enumerate(self._matrix.entries()):
+            # row i of kH is zero but for a 1 at i's partner i ^ 1
+            if row[i ^ 1] != 1 or row.count(0) != n - 1:
+                return None
         return n // 2
 
     def descriptor(self) -> str:

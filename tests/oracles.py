@@ -209,18 +209,18 @@ def numpy_box_exists(
         flat = np.stack([g.ravel() for g in grids], axis=1)
         vals = np.einsum("ij,jk,ik->i", flat, q, flat)
         return bool(np.any(vals == target))
-    # split the first two coordinates off and vectorize the rest
+    # loop over the first coordinate; vectorize the second and the rest
     tail_axes = axes[2:]
     grids = np.meshgrid(*tail_axes, indexing="ij")
     tail = np.stack([g.ravel() for g in grids], axis=1)
     tail_sq = np.einsum("ij,jk,ik->i", tail, q[2:, 2:], tail)
+    cross = 2 * (tail @ q[2:, :2])  # column c: twice the pairing with unit c
+    b = axes[1]
+    b_part = np.outer(b, cross[:, 1]) + tail_sq
     for a in axes[0]:
-        for b in axes[1]:
-            head = np.array([a, b], dtype=np.int64)
-            head_sq = head @ q[:2, :2] @ head
-            cross = 2 * (tail @ (q[2:, :2] @ head))
-            if np.any(tail_sq + cross + head_sq == target):
-                return True
+        head_sq = q[0, 0] * a * a + 2 * q[0, 1] * a * b + q[1, 1] * b * b
+        if np.any(b_part + a * cross[:, 0] + head_sq[:, None] == target):
+            return True
     return False
 
 

@@ -259,6 +259,16 @@ class TestPresentationText:
         with pytest.raises(PresentationError):
             Presentation(2, ((1, 2, 3),))
 
+    def test_presentation_validates_entry_types(self):
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(PresentationError, match="relation entries must be ints"):
+                Presentation(2, ((1, bad),))
+
+        class Exponent(int):
+            pass
+
+        assert Presentation(2, ((Exponent(1), 2),)).relations == ((1, 2),)
+
     def test_presentation_validates_names(self):
         with pytest.raises(PresentationError):
             Presentation(2, (), ("onlyone",))

@@ -26,7 +26,13 @@ from fourfold.obstruction import (
     validate_invariants,
     wu_target,
 )
-from oracles import assemble_form, box_solvable, random_summands, summand_residues
+from oracles import (
+    assemble_form,
+    box_solvable,
+    numpy_box_exists,
+    random_summands,
+    summand_residues,
+)
 
 
 # the directory holding the fourfold under test, installed or on pytest's path
@@ -174,6 +180,9 @@ def test_criterion_06_oracle_equivalence():
         decided_exists = verdict.status is VerdictStatus.EXISTS
         oracle_exists = box_solvable(summands, 16, target)
         if decided_exists != oracle_exists:
+            disagreements += 1
+        # a second, independent check: a raw numpy walk of the whole box
+        if numpy_box_exists(form, residues, 16, target) != oracle_exists:
             disagreements += 1
         if decided_exists and form.evaluate(verdict.witness.coefficients) != target:
             disagreements += 1

@@ -14,6 +14,7 @@ from oracles import (
     assemble_form,
     box_solutions,
     box_solvable,
+    quadratic_value,
     random_summands,
     summand_residues,
 )
@@ -146,6 +147,56 @@ def _search_cases(draw):
     return rows, residues, bound, target
 
 
+def _conjugate(rows, perm):
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def _block_sum_cases(draw):
+    """(rows, residues, bound, target) on a sum of H, <d> and random blocks.
+
+    Half the sums keep their blocks contiguous; the other half are
+    conjugated by a random permutation, so the blocks interleave and fewer
+    cuts exist.  Half the targets are squares of points in the box.
+    """
+    rank = draw(st.integers(0, 5))
+    blocks = []
+    size = 0
+    while size < rank:
+        kind = draw(st.sampled_from(["H", "diag", "random"]))
+        if kind == "H" and rank - size >= 2:
+            block = [[0, 1], [1, 0]]
+        elif kind == "diag":
+            block = [[draw(st.integers(-3, 3))]]
+        else:
+            n = draw(st.integers(1, min(3, rank - size)))
+            block = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    block[i][j] = block[j][i] = draw(st.integers(-3, 3))
+        blocks.append(block)
+        size += len(block)
+    rows = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    if draw(st.booleans()):
+        rows = _conjugate(rows, draw(st.permutations(range(rank))))
+    residues = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
+    bound = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        point = [
+            draw(st.sampled_from([v for v in range(-bound, bound + 1) if (v - r) % 2 == 0] or [0]))
+            for r in residues
+        ]
+        target = quadratic_value(rows, point)
+    else:
+        target = draw(st.integers(-20, 20))
+    return rows, residues, bound, target
+
+
 class TestAgainstBruteForce:
     """The sweeps and the search strategy against an itertools.product walk."""
 
@@ -170,6 +221,24 @@ class TestAgainstBruteForce:
             on_shell = [h for h in hits if max(map(abs, h), default=0) == shell]
             got = _pure.first_hit_on_shell(flat, residues, rank, shell, target)
             assert got == (on_shell[0] if on_shell else None)
+
+
+    @given(_block_sum_cases())
+    # two rank-1 blocks: two even squares never sum to 3
+    @example(([[1, 0], [0, 1]], [0, 0], 4, 3))
+    # three blocks, so the blocks after the first reach a sumset
+    @example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], [0, 0, 1, 1], 3, 4))
+    # a zero block <0> takes every value of its axis
+    @example(([[0, 0], [0, 1]], [1, 1], 3, 1))
+    @example(([], [], 2, 0))
+    @example(([], [], 2, 1))
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_enumerate_on_block_sums(self, case):
+        rows, residues, bound, target = case
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert enumerate_witnesses(q, residues, bound, target) == box_solutions(
+            rows, residues, bound, target
+        )
 
 
 class TestWorstCase:
