@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from typing import Sequence
 
 from .abelian import Presentation, PresentationError, parse_abelian_group
@@ -240,6 +241,31 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
+def _fill(item: str, sep: str, coefficients: tuple[tuple[int, ...], ...]) -> str:
+    """One copy of item per coefficient tuple, joined by sep, filled by one %."""
+    return sep.join([item] * len(coefficients)) % tuple(chain.from_iterable(coefficients))
+
+
+def _emit_enumeration_json(header: dict, result: ChernEnumeration) -> None:
+    """_emit_json of header plus a last "witnesses" key, byte for byte.
+
+    json.dumps(indent=2) puts every witness at the same indents, and every
+    listed witness has the same square, so the list is one per-rank item
+    template filled with the flattened coefficients.
+    """
+    coefficients = result.coefficients
+    listing = "[]"
+    if coefficients:
+        slots = ",\n".join(["        %d"] * len(coefficients[0]))
+        item = (
+            f'    {{\n      "coefficients": [\n{slots}\n      ],\n'
+            f'      "square": {result.square}\n    }}'
+        )
+        listing = "[\n" + _fill(item, ",\n", coefficients) + "\n  ]"
+    # the header ends in "\n}"; the witnesses key goes in before it
+    print(json.dumps(header, indent=2)[:-2] + ',\n  "witnesses": ' + listing + "\n}")
+
+
 def _kv(key: str, value, indent: int = 0) -> str:
     pad = " " * indent
     return f"{pad}{key:<{18 - indent}} {value}"
@@ -320,25 +346,26 @@ def _cmd_enumerate(args) -> int:
     result: ChernEnumeration = enumerate_chern_classes(m, bound=bound)
     target = wu_target(m.chi, m.tau)
     if args.json:
-        _emit_json(
+        _emit_enumeration_json(
             {
                 "manifold": _manifold_dict(m),
                 "target_square": target,
                 "complete": result.complete,
                 "bound": result.bound,
-                "witnesses": [
-                    {"coefficients": list(w.coefficients), "square": w.square}
-                    for w in result.witnesses
-                ],
-            }
+            },
+            result,
         )
         return EXIT_OK
+    coefficients = result.coefficients
     lines = _manifold_lines(m)
     lines.append(_kv("target square", target))
     marker = "COMPLETE" if result.complete else f"BOUNDED({result.bound})"
     lines.append(_kv("completeness", marker))
-    lines.append(_kv("witnesses", len(result.witnesses)))
-    lines.extend(f"  {w}" for w in result.witnesses)
+    lines.append(_kv("witnesses", len(coefficients)))
+    if coefficients:
+        # the lines of f"  {w}" for each ChernWitness w, from one template
+        line = "  (" + ", ".join(["%d"] * len(coefficients[0])) + ")"
+        lines.append(_fill(line, "\n", coefficients))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import string
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -283,8 +284,8 @@ class IntersectionForm:
             _check_int(v)
         for v in y:
             _check_int(v)
-        m = self._matrix
-        return sum(x[i] * m.entry(i, j) * y[j] for i in range(n) for j in range(n))
+        rows = self._matrix.entries()
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, rows) if xi)
 
     @cached_property
     def is_even(self) -> bool:

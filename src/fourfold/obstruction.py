@@ -300,11 +300,20 @@ def decide_almost_complex(
 
 @dataclass(frozen=True)
 class ChernEnumeration:
-    """Witness listing; complete means the list is provably exhaustive."""
+    """Witness listing; complete means the list is provably exhaustive.
 
-    witnesses: tuple[ChernWitness, ...]
+    Every listed class has the same square, so the listing keeps the raw
+    coefficient tuples and that one square; witnesses is built on demand.
+    """
+
+    coefficients: tuple[tuple[int, ...], ...]
+    square: int
     complete: bool
     bound: int | None = None
+
+    @cached_property
+    def witnesses(self) -> tuple[ChernWitness, ...]:
+        return tuple(ChernWitness(c, self.square) for c in self.coefficients)
 
 
 def enumerate_chern_classes(
@@ -324,16 +333,10 @@ def enumerate_chern_classes(
     # every divisor pair and sweep hit has square target by construction
     if form.hyperbolic_summands == 1 and residue == (0, 0) and target != 0:
         pairs = _hyperbolic_pair_witnesses(target)
-        return ChernEnumeration(
-            tuple(ChernWitness(p, target) for p in pairs), complete=True
-        )
+        return ChernEnumeration(tuple(pairs), target, complete=True)
 
     hits = search.enumerate_witnesses(form, residue, bound, target)
-    return ChernEnumeration(
-        tuple(ChernWitness(h, target) for h in hits),
-        complete=False,
-        bound=bound,
-    )
+    return ChernEnumeration(tuple(hits), target, complete=False, bound=bound)
 
 
 def validate_invariants(m: ManifoldInvariants) -> list[str]:

@@ -37,6 +37,18 @@ w2 = 0
 """
 
 
+def _diag_file(entries, b1=0, bits=None) -> str:
+    """A valid record on a diagonal form; w2 is the residue when it is unimodular."""
+    if all(abs(e) == 1 for e in entries) or bits is None:
+        bits = [e & 1 for e in entries]
+    tau = sum(1 if e > 0 else -1 for e in entries)
+    return (
+        f"name = d\nchi = {2 - 2 * b1 + len(entries)}\ntau = {tau}\n"
+        f"form = diag({','.join(map(str, entries))})\nb1 = {b1}\nh1 = Z^{b1}\n"
+        f"w2 = {','.join(map(str, bits))}\n"
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -228,6 +240,55 @@ class TestEnumerate:
         assert doc["complete"] is True
         assert doc["bound"] is None
         assert [w["coefficients"] for w in doc["witnesses"]] == [[-2, 2], [2, -2]]
+
+    @pytest.mark.parametrize(
+        "source, argv, count",
+        [
+            (None, ["--family", "M1 g=1"], 2),  # divisor route, complete, bound null
+            (None, ["--family", "M4 n=2", "--bound", "6"], 116),  # sweep route
+            (None, ["--family", "M4 n=3", "--bound", "8"], 0),  # empty listing
+            (_diag_file([1]), ["--bound", "5"], 2),  # rank 1, (-3) and (3)
+            (_diag_file([1, -1, -1, -1]), ["--bound", "3"], 16),  # odd, rank 4
+        ],
+    )
+    def test_json_bytes_match_stdlib(self, capsys, tmp_path, source, argv, count):
+        if source is not None:
+            path = tmp_path / "m.man"
+            path.write_text(source, encoding="ascii")
+            argv = ["--file", str(path), *argv]
+        code, out, err = run(capsys, "enumerate", *argv, "--json")
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        assert json.dumps(doc, indent=2) + "\n" == out
+        assert len(doc["witnesses"]) == count
+        assert list(doc)[-1] == "witnesses"
+
+    @given(
+        entries=st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=4),
+        bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        b1=st.integers(0, 8),  # moves the target 3*tau + 2*chi in steps of 4
+        bound=st.integers(0, 4),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_json_bytes_on_small_diagonal_files(self, tmp_path_factory, entries, bits, b1, bound):
+        path = tmp_path_factory.mktemp("diag") / "m.man"
+        path.write_text(_diag_file(entries, b1, bits[: len(entries)]), encoding="ascii")
+        argv = ["enumerate", "--file", str(path), "--bound", str(bound)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv + ["--json"]) == EXIT_OK
+        out = out.getvalue()
+        doc = json.loads(out)
+        assert json.dumps(doc, indent=2) + "\n" == out
+        # the text listing shows the same classes, one "  (c1, ..., cn)" line each
+        text = io.StringIO()
+        with redirect_stdout(text):
+            assert main(argv) == EXIT_OK
+        listed = [w["coefficients"] for w in doc["witnesses"]]
+        lines = text.getvalue().splitlines()
+        assert lines[len(lines) - len(listed) :] == [
+            "  (" + ", ".join(map(str, c)) + ")" for c in listed
+        ]
 
 
 class TestFamilyCommand:

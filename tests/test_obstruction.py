@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fourfold import search
+from fourfold import cli, search
 from fourfold.abelian import AbelianGroup, Presentation
 from fourfold.forms import FormError, IntersectionForm, build_form
 from fourfold.obstruction import (
@@ -273,6 +273,28 @@ class TestEnumeration:
             assert [w.coefficients for w in enum.witnesses] == box_solutions(
                 rows, resolve_w2(record), bound, target
             )
+
+    @pytest.mark.parametrize(
+        "record, bound",
+        [
+            (_record(name="S2xS2"), 32),
+            (_record(chi=6, tau=-2, form="diag(1,-1,-1,-1)"), 3),
+            (_record(name="CP2", chi=3, tau=1, form="diag(1)"), 10),
+        ],
+        ids=["divisor", "sweep", "rank-1"],
+    )
+    def test_witnesses_are_a_view_of_the_raw_listing(self, capsys, tmp_path, record, bound):
+        enum = enumerate_chern_classes(record, bound)
+        assert enum.square == wu_target(record.chi, record.tau)
+        assert enum.witnesses
+        assert enum.witnesses == tuple(ChernWitness(c, enum.square) for c in enum.coefficients)
+        # text-mode enumerate ends with one "  " + str(w) line per witness
+        path = tmp_path / "m.man"
+        path.write_text(cli.format_manifold_file(record), encoding="ascii")
+        assert cli.main(["enumerate", "--file", str(path), "--bound", str(bound)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(enum.witnesses) - 1].split() == ["witnesses", str(len(enum.witnesses))]
+        assert lines[-len(enum.witnesses) :] == ["  " + str(w) for w in enum.witnesses]
 
     def test_negation_closure(self):
         enum = enumerate_chern_classes(_record(name="S2xS2"))
