@@ -189,9 +189,6 @@ def family_invariants(fid: FamilyId) -> ManifoldInvariants:
     )
 
 
-_M4_SHAPE = re.compile(r"^M4\(n=([0-9]+)\)$")
-
-
 def known_discrepancies(m: ManifoldInvariants) -> list[str]:
     """Notes on records whose documented properties clash with the criteria.
 

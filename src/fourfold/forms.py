@@ -69,20 +69,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def block_diagonal(cls, blocks: Sequence["IntegerMatrix"]) -> "IntegerMatrix":
-        size = sum(b.rows for b in blocks)
-        out = [[0] * size for _ in range(size)]
-        offset = 0
-        for b in blocks:
-            if b.rows != b.cols:
-                raise FormError("block_diagonal needs square blocks")
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[offset + i][offset + j] = b.entry(i, j)
-            offset += b.rows
-        return cls(out)
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -93,9 +79,6 @@ class IntegerMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
@@ -384,16 +367,11 @@ class IntersectionForm:
             return "H"
         if k is not None:
             return f"{k}H"
-        m = self._matrix
-        if all(
-            m.entry(i, j) == 0 for i in range(self.rank) for j in range(self.rank) if i != j
-        ):
-            inner = ",".join(str(m.entry(i, i)) for i in range(self.rank))
-            return f"diag({inner})"
-        rows = ",".join(
-            "[" + ",".join(str(v) for v in m.row(i)) + "]" for i in range(self.rank)
-        )
-        return f"matrix [{rows}]"
+        rows = self._matrix.entries()
+        if all(v == 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
+            return "diag(" + ",".join(str(row[i]) for i, row in enumerate(rows)) + ")"
+        inner = ",".join("[" + ",".join(map(str, row)) + "]" for row in rows)
+        return f"matrix [{inner}]"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionForm):

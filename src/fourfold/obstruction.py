@@ -5,7 +5,7 @@ A class h in H^2 is the first Chern class of an almost complex structure iff
     q(h) = 3*signature + 2*euler      and      h = w2  (mod 2).
 
 Everything revolves around deciding solvability of that pair of conditions
-exactly.  The decision runs in tiers:
+exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
 
   tier 0   mod-8 filter: on a unimodular form, any class congruent to the
            characteristic residue has square congruent to the signature
@@ -13,15 +13,17 @@ exactly.  The decision runs in tiers:
   tier 1   literal hyperbolic sums kH with w2 = 0: solutions are even
            vectors, squares are multiples of 8, and (target/4, 2, 0, ..., 0)
            is an explicit witness whenever target = 0 mod 8.
-  tier 2   rank-2 H: divisor enumeration of 2ab = target is complete, which
-           also powers complete witness listings.
+  tier 2   rank-2 H with w2 = 0 and a nonzero target: divisor enumeration
+           of 2ab = target is complete.  Only enumerate_chern_classes runs
+           it; decide_wu_existence never does, because H has residue 0 and
+           tier 1 settles it first.
   tier 3   bounded box search (default bound 32): first-hit sweeps over
            deepening boxes of max-norm 0, 1, 2, 4, ..., bound, each solving
            the last coordinate as a 1-D quadratic, stop at the first box
            with a hit; shells below the hit's max-norm then settle the
-           lex-smallest witness of minimal max-norm.  Exhausting the whole box without a hit is
-           reported as Unknown together with the bound, never as a
-           nonexistence claim.
+           lex-smallest witness of minimal max-norm.  Exhausting the whole
+           box without a hit is reported as Unknown together with the
+           bound, never as a nonexistence claim.
 """
 
 from __future__ import annotations

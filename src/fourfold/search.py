@@ -6,21 +6,23 @@ witness is found without walking the whole box; only a box without any
 solution is exhausted.
 
 The listing cuts the form into contiguous orthogonal intervals (blocks).
-On a direct sum q(h) is the sum of the blocks' squares, so it walks the
-blocks in coordinate order and keeps only the block vectors whose value
-leaves a residual target that the blocks after it can still reach, as told
-by their value sets.  A single block is swept whole.
+On a direct sum q(h) is the sum of the blocks' squares.  One walk of each
+block's parity box gives its value set; a second lists only the block's
+vectors of the values some live residual target can use, those that leave
+a remainder the blocks after it still reach.  A depth-first pass then
+joins those lists in coordinate order.  A single block is swept whole.
 
 The sweeps solve the last coordinate in closed form and run on
 arbitrary-precision integers, so every form and bound is searched exactly.
 They are looked up on the _pure module at call time, so a tracer that wraps
-those attributes sees every sweep.
+those attributes sees every sweep; a listing of two or more blocks runs
+none.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import _pure
 from .forms import IntersectionForm, _components
@@ -104,12 +106,17 @@ def _intervals(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return spans
 
 
-def _values(qflat: list[int], residues: list[int], rank: int, bound: int) -> set[int]:
-    """Every q(x) over the block's parity box."""
+def _walk(
+    qflat: list[int], residues: list[int], rank: int, bound: int
+) -> Iterator[tuple[tuple[int, ...], range, list[int]]]:
+    """The block's parity box in lex order, one prefix at a time.
+
+    Yields (prefix, last, values): last is the ascending range of the last
+    coordinate and values[i] is q(prefix, last[i]).
+    """
     *head, last = [range(_pure._start_value(r, bound), bound + 1, 2) for r in residues]
     a = qflat[-1]
     cross = qflat[(rank - 1) * rank : -1]  # the last row without its diagonal
-    values: set[int] = set()
     for prefix in product(*head):
         # q(prefix, v) = k + 2*c*v + a*v*v
         k = sum(
@@ -118,8 +125,7 @@ def _values(qflat: list[int], residues: list[int], rank: int, bound: int) -> set
             for j, y in enumerate(prefix)
         )
         c2 = 2 * sum(q * x for q, x in zip(cross, prefix))
-        values.update([k + (c2 + a * v) * v for v in last])
-    return values
+        yield prefix, last, [k + (c2 + a * v) * v for v in last]
 
 
 def _block_listing(
@@ -131,32 +137,44 @@ def _block_listing(
 ) -> list[tuple[int, ...]]:
     """The box solutions of a form with two or more blocks, in lex order.
 
-    Each block's vectors of one value come from one all_hits sweep of that
-    block, memoised per (block, value).  Global lexicographic order is the
-    order of the block vectors, block by block, so a depth-first walk over
-    each block's candidates, merged into lex order, emits it directly.
+    One walk of each block gives its value set.  A forward pass then keeps,
+    per block, the values some live residual can use: the residual minus
+    the value is still reached by the blocks after it.  A second walk lists
+    each block's vectors of those values in lex order, the last block's
+    grouped by value.  Global lexicographic order is the order of the block
+    vectors, block by block, so a depth-first walk that filters each block's
+    list by the node's residual emits it directly.
     """
     blocks = []
     for start, stop in spans:
         flat = [x for row in rows[start:stop] for x in row[start:stop]]
         blocks.append((flat, list(residues[start:stop]), stop - start))
-    values = [_values(flat, res, rank, bound) for flat, res, rank in blocks]
+    values = [{q for _, _, qs in _walk(*block, bound) for q in qs} for block in blocks]
     last = len(blocks) - 1
-    # reach[b]: every sum of one value from each block after b; only the
-    # blocks before the last read it
+    # reach[b]: every sum of one value from each block after b
     reach = [{0}] * len(blocks)
-    reach[last - 1] = values[last]
-    for b in range(last - 2, -1, -1):
+    for b in range(last - 1, -1, -1):
         reach[b] = {v + s for v in values[b + 1] for s in reach[b + 1]}
-
-    hits: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def block_hits(b: int, value: int) -> list[tuple[int, ...]]:
-        found = hits.get((b, value))
-        if found is None:
-            flat, res, rank = blocks[b]
-            found = hits[b, value] = _pure.all_hits(flat, res, rank, bound, value)
-        return found
+    keep = []
+    live = {target}
+    for b, after in enumerate(reach):
+        used = [(v, r - v) for r in live for v in values[b] if r - v in after]
+        keep.append({v for v, _ in used})
+        live = {s for _, s in used}
+    if not live:
+        return []
+    lists = [
+        [
+            (prefix + (v,), q)
+            for prefix, last_range, qs in _walk(*block, bound)
+            for v, q in zip(last_range, qs)
+            if q in kept
+        ]
+        for block, kept in zip(blocks, keep)
+    ]
+    tail: dict[int, list[tuple[int, ...]]] = {}
+    for x, q in lists.pop():
+        tail.setdefault(q, []).append(x)
 
     out: list[tuple[int, ...]] = []
     # depth first with an explicit stack, so no form is too long to walk;
@@ -164,18 +182,12 @@ def _block_listing(
     stack = [(0, (), target)]
     while stack:
         b, prefix, residual = stack.pop()
-        if b == last:  # the block before saw residual in values[last]
-            out.extend([prefix + x for x in block_hits(b, residual)])
+        if b == last:
+            out.extend([prefix + x for x in tail[residual]])
             continue
         after = reach[b]
-        found = sorted(
-            (x, v)
-            for v in values[b]
-            if residual - v in after
-            for x in block_hits(b, v)
-        )
-        # pushed in reverse, so the lex-smallest vector is walked first
-        stack.extend((b + 1, prefix + x, residual - v) for x, v in reversed(found))
+        kids = [(b + 1, prefix + x, residual - v) for x, v in lists[b] if residual - v in after]
+        stack.extend(reversed(kids))  # so the lex-smallest vector is walked first
     return out
 
 

@@ -115,13 +115,17 @@ def summand_rank(summand) -> int:
 
 
 def assemble_form(summands) -> IntersectionForm:
-    blocks = []
+    """The block sum of the summands, built entry by entry from plain lists."""
+    size = sum(summand_rank(s) for s in summands)
+    rows = [[0] * size for _ in range(size)]
+    offset = 0
     for s in summands:
         if s == H_SUMMAND:
-            blocks.append(IntegerMatrix([[0, 1], [1, 0]]))
+            rows[offset][offset + 1] = rows[offset + 1][offset] = 1
         else:
-            blocks.append(IntegerMatrix([[s[1]]]))
-    return IntersectionForm(IntegerMatrix.block_diagonal(blocks))
+            rows[offset][offset] = s[1]
+        offset += summand_rank(s)
+    return IntersectionForm(IntegerMatrix(rows))
 
 
 def summand_residues(summands) -> list[int]:

@@ -354,12 +354,6 @@ class TestIntegerMatrix:
         with pytest.raises(FormError):
             IntegerMatrix([[True]])
 
-    def test_block_diagonal(self):
-        h = IntegerMatrix([[0, 1], [1, 0]])
-        d = IntegerMatrix([[5]])
-        m = IntegerMatrix.block_diagonal([h, d])
-        assert m.entries() == ((0, 1, 0), (1, 0, 0), (0, 0, 5))
-
     def test_matmul_identity(self):
         m = IntegerMatrix([[1, 2], [3, 4]])
         assert m @ IntegerMatrix.identity(2) == m

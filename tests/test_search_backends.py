@@ -232,6 +232,17 @@ class TestAgainstBruteForce:
     @example(([[0, 0], [0, 1]], [1, 1], 3, 1))
     @example(([], [], 2, 0))
     @example(([], [], 2, 1))
+    # 2H: each H block takes many values, of which several complete the target
+    @example(
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [0, 0, 0, 0], 8, 8)
+    )
+    # an indecomposable rank-3 block, listed through its keep-set first and last
+    @example(([[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, -1]], [1, 0, 1, 1], 3, 2))
+    @example(([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], [1, 1, 0, 1], 3, 2))
+    # diag(1,-1,-1,-1): the middle blocks see several live residuals
+    @example(
+        ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], [1, 1, 1, 1], 5, 6)
+    )
     @settings(max_examples=500, derandomize=True, deadline=None)
     def test_enumerate_on_block_sums(self, case):
         rows, residues, bound, target = case
