@@ -1,28 +1,26 @@
-"""The bounded lattice sweeps used by the characteristic-square solver.
+"""The one bounded lattice walk used by the characteristic-square solver.
 
-They run on arbitrary-precision integers, so no form entry, bound or target
-is too large for them.
+It runs on arbitrary-precision integers, so no form entry, bound or target
+is too large for it.
 
-All sweeps report candidate vectors in lexicographic order; each coordinate
-i ranges over values congruent to residue[i] mod 2 inside [-limit, limit].
-Only the first rank - 1 coordinates are walked.  Once they are fixed, q is a
-quadratic in the last coordinate v,
+Each coordinate i ranges over values congruent to residue[i] mod 2 inside
+[-limit, limit].  prefixes walks the first rank - 1 coordinates in
+lexicographic order and keeps the prefix's square and cross terms as running
+values.  Once a prefix is fixed, q is a quadratic in the last coordinate v,
 
-    q(h) = qval + a*v*v + 2*c*v,
+    q(h) = k + a*v*v + 2*c*v,
 
-with a = Q[last][last], c the cross term of v with the fixed prefix and qval
-the square of the prefix, so the values of v that hit the target are the
-integer roots of a 1-D quadratic (or linear) equation, found with isqrt.  A
-sweep therefore costs O(limit^(rank - 1)) instead of O(limit^rank).
+with a = Q[last][last], c the cross term of v with the prefix and k the
+square of the prefix, so the values of v that hit a target are the integer
+roots of a 1-D quadratic (or linear) equation, found with isqrt.  hits reads
+the walk that way and yields every solution in lexicographic order, so a
+sweep costs O(limit^(rank - 1)) instead of O(limit^rank).  The block listing
+in fourfold.search reads the same walk for its blocks' values.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-MODE_FIRST = 0  # first hit in lexicographic order over the whole box
-MODE_SHELL = 1  # first lex hit whose max-norm equals `limit` exactly
-MODE_COLLECT = 2  # every hit in the box, in lexicographic order
 
 
 def _start_value(residue: int, limit: int) -> int:
@@ -58,78 +56,64 @@ def _last_values(a, c, k, lo, limit):
     return out
 
 
-def sweep(qflat, residues, rank, limit, target, mode):
-    """Run one lattice sweep; see the module docstring for the modes.
+def prefixes(qflat, residues, rank, limit):
+    """Walk the first rank - 1 coordinates of the parity box in lex order.
 
-    qflat is the row-major flattened form matrix.  Returns a tuple (modes
-    FIRST and SHELL; None when no hit) or a list of tuples (mode COLLECT).
+    qflat is the row-major flattened form matrix and rank is at least 1.
+    Yields (cur, k, c) per prefix: cur is one list of length rank, reused
+    between yields, whose first rank - 1 entries are the prefix and whose
+    last entry is free for the caller; k = q(prefix) and c is the cross term
+    sum_j Q[last][j] * prefix[j].  Rank 1 yields the empty prefix once.
     """
-    if rank == 0:
-        hit = target == 0 and (mode != MODE_SHELL or limit == 0)
-        if mode == MODE_COLLECT:
-            return [()] if hit else []
-        return () if hit else None
-
-    lo = [_start_value(residues[d], limit) for d in range(rank)]
-    if any(lo[d] > limit for d in range(rank)):
-        return [] if mode == MODE_COLLECT else None
-
     last = rank - 1
-    a_last = qflat[last * rank + last]
-    lo_last = lo[last]
-    # values of the last coordinate on the shell |v| == limit
-    rim = (-limit, limit) if limit else (0,)
-    cur = [0] * rank
-    qval = [0] * (rank + 1)
-    maxabs = [0] * (rank + 1)
+    lo = [_start_value(r, limit) for r in residues]
+    cur = lo[:]
+    qval = [0] * rank  # qval[d] = q(cur[:d])
     # cross[d][i] = sum_{j < d} Q[i][j] * cur[j], maintained incrementally
-    cross = [[0] * rank for _ in range(rank + 1)]
-    hits = [] if mode == MODE_COLLECT else None
-
+    cross = [[0] * rank for _ in range(rank)]
     d = 0
-    cur[0] = lo[0]
     while d >= 0:
-        if d == last:
-            values = _last_values(a_last, cross[d][d], qval[d] - target, lo_last, limit)
-            if values and mode == MODE_SHELL and maxabs[d] < limit:
-                values = [v for v in rim if v in values]
-            if values:
-                if mode != MODE_COLLECT:
-                    cur[d] = values[0]
-                    return tuple(cur)
-                for v in values:
-                    cur[d] = v
-                    hits.append(tuple(cur))
-            d -= 1
-            if d >= 0:
-                cur[d] += 2
-            continue
         v = cur[d]
-        if v > limit:
-            d -= 1
-            if d >= 0:
-                cur[d] += 2
+        if d < last and v <= limit:
+            row_cross = cross[d]
+            next_cross = cross[d + 1]
+            for i in range(d + 1, rank):
+                next_cross[i] = row_cross[i] + qflat[i * rank + d] * v
+            qval[d + 1] = qval[d] + qflat[d * rank + d] * v * v + 2 * v * row_cross[d]
+            d += 1
+            cur[d] = lo[d]
             continue
-        row_cross = cross[d]
-        next_cross = cross[d + 1]
-        for i in range(d + 1, rank):
-            next_cross[i] = row_cross[i] + qflat[i * rank + d] * v
-        qval[d + 1] = qval[d] + qflat[d * rank + d] * v * v + 2 * v * row_cross[d]
-        av = -v if v < 0 else v
-        maxabs[d + 1] = av if av > maxabs[d] else maxabs[d]
-        d += 1
-        cur[d] = lo[d]
+        if d == last:
+            yield cur, qval[d], cross[d][d]
+        d -= 1
+        if d >= 0:
+            cur[d] += 2
 
-    return hits if mode == MODE_COLLECT else None
+
+def hits(qflat, residues, rank, limit, target):
+    """Every h in the box with q(h) == target, in lexicographic order."""
+    if rank == 0:
+        if target == 0:
+            yield ()
+        return
+    last = rank - 1
+    a = qflat[-1]
+    lo = _start_value(residues[last], limit)
+    for cur, k, c in prefixes(qflat, residues, rank, limit):
+        for v in _last_values(a, c, k - target, lo, limit):
+            cur[last] = v
+            yield tuple(cur)
 
 
 def first_hit(qflat, residues, rank, limit, target):
-    return sweep(qflat, residues, rank, limit, target, MODE_FIRST)
-
-
-def first_hit_on_shell(qflat, residues, rank, shell, target):
-    return sweep(qflat, residues, rank, shell, target, MODE_SHELL)
+    return next(hits(qflat, residues, rank, limit, target), None)
 
 
 def all_hits(qflat, residues, rank, limit, target):
-    return sweep(qflat, residues, rank, limit, target, MODE_COLLECT)
+    return list(hits(qflat, residues, rank, limit, target))
+
+
+def first_hit_on_shell(qflat, residues, rank, shell, target):
+    """The first lex hit of max-norm exactly shell; only the benchmark's checks call it."""
+    box = hits(qflat, residues, rank, shell, target)
+    return next((h for h in box if max(map(abs, h), default=0) == shell), None)

@@ -131,7 +131,7 @@ def _eliminate(
 def smith_normal_form(
     m: IntegerMatrix,
 ) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (D, U, V) with D = U @ m @ V in Smith normal form.
+    """Return (D, U, V) with D = U m V (matrix products) in Smith normal form.
 
     U and V are unimodular; D is diagonal with nonnegative entries satisfying
     d1 | d2 | ... .

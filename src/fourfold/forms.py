@@ -65,10 +65,6 @@ class IntegerMatrix:
         m._cols = len(data[0]) if data else 0
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -91,24 +87,6 @@ class IntegerMatrix:
         if self._rows != self._cols:
             return False
         return tuple(zip(*self._data)) == self._data
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self._data[i][j] for i in range(self._rows)] for j in range(self._cols)]
-        )
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self._cols != other._rows:
-            raise FormError("matrix dimensions do not match for multiplication")
-        return IntegerMatrix(
-            [
-                [
-                    sum(self._data[i][k] * other._data[k][j] for k in range(self._cols))
-                    for j in range(other._cols)
-                ]
-                for i in range(self._rows)
-            ]
-        )
 
     def determinant(self) -> int:
         """Exact Bareiss determinant of a general, possibly non-symmetric, matrix."""

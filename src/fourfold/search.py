@@ -1,9 +1,10 @@
-"""Witness search strategy over the lattice sweeps in fourfold._pure.
+"""Witness search strategy over the one lattice walk in fourfold._pure.
 
 The existence search deepens: it sweeps boxes of max-norm 0, 1, 2, 4, ...
 up to the bound and stops at the first box that holds a hit, so a small
 witness is found without walking the whole box; only a box without any
-solution is exhausted.
+solution is exhausted.  The boxes between the last empty one and the hit's
+max-norm are then swept in order, each for its first hit.
 
 The listing cuts the form into contiguous orthogonal intervals (blocks).
 On a direct sum q(h) is the sum of the blocks' squares.  One walk of each
@@ -12,16 +13,17 @@ vectors of the values some live residual target can use, those that leave
 a remainder the blocks after it still reach.  A depth-first pass then
 joins those lists in coordinate order.  A single block is swept whole.
 
-The sweeps solve the last coordinate in closed form and run on
-arbitrary-precision integers, so every form and bound is searched exactly.
-They are looked up on the _pure module at call time, so a tracer that wraps
-those attributes sees every sweep; a listing of two or more blocks runs
-none.
+Both read _pure.prefixes, which keeps each prefix's square and its cross
+term with the last coordinate as running values: the sweeps solve the last
+coordinate in closed form, the listing evaluates it value by value.  All of
+it is arbitrary-precision, so every form and bound is searched exactly.  The
+sweeps (_pure.first_hit, _pure.all_hits) are looked up on the _pure module
+at call time, so a tracer that wraps those attributes sees every sweep; a
+listing of two or more blocks runs none.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Sequence
 
 from . import _pure
@@ -63,11 +65,12 @@ def find_minimal_witness(
     max-norm, or None when the box holds no solution.  Strategy: first-hit
     sweeps over the boxes m = 0, 1, 2, 4, ..., the last one exactly `bound`,
     stopping at the first box that holds a hit.  Every smaller box was
-    empty, so no solution has max-norm at or below the last empty box; the
-    shells strictly between it and the hit's max-norm are then swept in
-    increasing order.  When none holds a solution, the box hit is the
-    answer: it is the lexicographically first of all box solutions, so also
-    of those on its own shell.
+    empty, so no solution has max-norm at or below the last empty box.  The
+    boxes strictly between it and the hit's max-norm are then swept in
+    increasing order: each comes after a box without a solution, so all its
+    hits lie on its outer shell and its first hit is the answer.  When none
+    holds a solution, the box hit is the answer: it is the lexicographically
+    first of all box solutions, so also of those on its own shell.
     """
     _check_inputs(form, residues, bound)
     qflat = _flatten(form)
@@ -84,7 +87,7 @@ def find_minimal_witness(
         box = min(bound, 2 * box or 1)
     cap = max((abs(c) for c in hit), default=0)
     for shell in range(empty + 1, cap):
-        found = _pure.first_hit_on_shell(qflat, residues, form.rank, shell, target)
+        found = _pure.first_hit(qflat, residues, form.rank, shell, target)
         if found is not None:
             return found
     return hit
@@ -114,18 +117,11 @@ def _walk(
     Yields (prefix, last, values): last is the ascending range of the last
     coordinate and values[i] is q(prefix, last[i]).
     """
-    *head, last = [range(_pure._start_value(r, bound), bound + 1, 2) for r in residues]
+    last = range(_pure._start_value(residues[-1], bound), bound + 1, 2)
     a = qflat[-1]
-    cross = qflat[(rank - 1) * rank : -1]  # the last row without its diagonal
-    for prefix in product(*head):
+    for cur, k, c in _pure.prefixes(qflat, residues, rank, bound):
         # q(prefix, v) = k + 2*c*v + a*v*v
-        k = sum(
-            qflat[i * rank + j] * x * y
-            for i, x in enumerate(prefix)
-            for j, y in enumerate(prefix)
-        )
-        c2 = 2 * sum(q * x for q, x in zip(cross, prefix))
-        yield prefix, last, [k + (c2 + a * v) * v for v in last]
+        yield tuple(cur[:-1]), last, [k + (2 * c + a * v) * v for v in last]
 
 
 def _block_listing(

@@ -5,7 +5,8 @@ from cofactor expansion, Smith diagonals from the gcds of minors
 (determinantal divisors), signatures from Descartes' rule of signs on the
 integer characteristic polynomial, solvability over a box comes from an
 exact per-block value-set convolution, and the raw sweep oracles walk the
-box with numpy or with itertools.product.  These deliberately use different algorithms from the package
+box with numpy or with itertools.product.  Matrix products are plain list
+arithmetic.  These deliberately use different algorithms from the package
 so that agreement is evidence, not circularity.
 """
 
@@ -39,6 +40,19 @@ def cofactor_determinant(rows: Sequence[Sequence[int]]) -> int:
         sign = -1 if j % 2 else 1
         total += sign * head * cofactor_determinant(minor)
     return total
+
+
+def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def matmul(*factors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of the factors, left to right, entry by entry."""
+    out = [list(row) for row in factors[0]]
+    for m in factors[1:]:
+        cols = transpose(m)
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in out]
+    return out
 
 
 def determinantal_divisors(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -1,5 +1,6 @@
 """Witness search: big-integer exactness, input checks and strategy correctness."""
 
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,21 @@ class TestSearchStrategy:
         assert find_minimal_witness(q, (0, 0), 0, 0) == (0, 0)
         assert find_minimal_witness(q, (0, 0), 0, 4) is None
         assert find_minimal_witness(q, (1, 1), 0, 0) is None
+
+    def test_shells_are_settled_by_first_hit_boxes(self, monkeypatch):
+        # diag(1), target 16: boxes 0, 1, 2 are empty, box 4 hits (-4,),
+        # then box 3 alone settles shell 3; no other sweep runs
+        boxes = []
+        first_hit = _pure.first_hit
+
+        def recording(qflat, residues, rank, limit, target):
+            boxes.append(limit)
+            return first_hit(qflat, residues, rank, limit, target)
+
+        monkeypatch.setattr(_pure, "first_hit", recording)
+        q = IntersectionForm.diagonal([1])
+        assert find_minimal_witness(q, (0,), 4, 16) == (-4,)
+        assert boxes == [0, 1, 2, 4, 3]
 
     def test_rank_zero_form(self):
         q = IntersectionForm(IntegerMatrix([]))
@@ -197,6 +213,33 @@ def _block_sum_cases(draw):
     return rows, residues, bound, target
 
 
+class TestPrefixWalk:
+    """_pure.prefixes against itertools.product over the head coordinates."""
+
+    @given(_search_cases().filter(lambda case: case[0]))
+    # rank 1: the head is empty, so the walk yields the empty prefix once
+    @example(([[3]], [1], 2, 0))
+    # limit 0 with residue 1: an empty head range gives no prefix, an empty
+    # last range still gives the one prefix (0,)
+    @example(([[1, 1], [1, 1]], [1, 0], 0, 0))
+    @example(([[1, 1], [1, 1]], [0, 1], 0, 0))
+    # entries above 64 bits in the prefix square and in the cross term
+    @example(([[2**70, 2**65 + 1, 3], [2**65 + 1, -(2**66), 5], [3, 5, 2**64]], [1, 0, 1], 3, 0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_prefixes_match_product(self, case):
+        rows, residues, bound, _ = case
+        rank = len(rows)
+        flat = [x for row in rows for x in row]
+        head = [[v for v in range(-bound, bound + 1) if (v - r) % 2 == 0] for r in residues[:-1]]
+        walked = [
+            (tuple(cur[:-1]), k, c) for cur, k, c in _pure.prefixes(flat, residues, rank, bound)
+        ]
+        assert [prefix for prefix, _, _ in walked] == list(itertools.product(*head))
+        for prefix, k, c in walked:
+            assert k == quadratic_value(rows, prefix + (0,))
+            assert k + 2 * c + rows[-1][-1] == quadratic_value(rows, prefix + (1,))
+
+
 class TestAgainstBruteForce:
     """The sweeps and the search strategy against an itertools.product walk."""
 
@@ -207,6 +250,11 @@ class TestAgainstBruteForce:
     @example(([[2**63 + 1, 1], [1, 0]], [1, 1], 5, 2**63 + 3))
     # box 4 is the first with a hit, (-4, 1), but (-2, 3) on shell 3 is minimal
     @example(([[0, 2], [2, 1]], [0, 1], 4, -15))
+    # box 4's hit (-4,) is the answer: box 2 is empty and so is shell 3
+    @example(([[1]], [0], 4, 16))
+    # rank 0: the empty vector lies on shell 0 only, and solves target 0 only
+    @example(([], [], 2, 0))
+    @example(([], [], 2, 1))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_search_matches_box_solutions(self, case):
         rows, residues, bound, target = case
