@@ -256,9 +256,11 @@ def _emit_enumeration_json(header: dict, result: ChernEnumeration) -> None:
     coefficients = result.coefficients
     listing = "[]"
     if coefficients:
-        slots = ",\n".join(["        %d"] * len(coefficients[0]))
+        rank = len(coefficients[0])
+        # json.dumps writes an empty list as [] on one line
+        vector = "[\n" + ",\n".join(["        %d"] * rank) + "\n      ]" if rank else "[]"
         item = (
-            f'    {{\n      "coefficients": [\n{slots}\n      ],\n'
+            f'    {{\n      "coefficients": {vector},\n'
             f'      "square": {result.square}\n    }}'
         )
         listing = "[\n" + _fill(item, ",\n", coefficients) + "\n  ]"

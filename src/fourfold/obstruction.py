@@ -17,16 +17,20 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            of 2ab = target is complete.  Only enumerate_chern_classes runs
            it; decide_wu_existence never does, because H has residue 0 and
            tier 1 settles it first.
-  tier 3   bounded box search (default bound 32): first-hit sweeps over
-           deepening boxes of max-norm 0, 1, 2, 4, ..., bound, each one
+  tier 3   bounded box search (default bound 32): deepening boxes of
+           max-norm 0, 1, 2, 4, ..., bound, each decided by its lex-first
+           solution, stop at the first box with one.  The boxes between the
+           last empty one and the hit's max-norm, decided in order, then
+           settle the lex-smallest witness of minimal max-norm: each
+           follows a box without a solution, so its solutions lie on its
+           outer shell.  A box is decided by a first-hit sweep, one
            incremental prefix walk that solves the last coordinate as a
-           1-D quadratic, stop at the first box with a hit.  First-hit
-           sweeps of the boxes between the last empty one and the hit's
-           max-norm, in order, then settle the lex-smallest witness of
-           minimal max-norm: each follows a box without a solution, so its
-           hits lie on its outer shell.  Exhausting the whole box without a
-           hit is reported as Unknown together with the bound, never as a
-           nonexistence claim.
+           1-D quadratic.  On a form of two or more orthogonal blocks
+           that sweep may walk only as many prefixes as the per-block
+           value tables have points; cut short, the tables and their
+           suffix sumsets decide the box block by block.  Exhausting the
+           whole box without a hit is reported as Unknown together with
+           the bound, never as a nonexistence claim.
 """
 
 from __future__ import annotations

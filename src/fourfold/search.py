@@ -1,33 +1,44 @@
 """Witness search strategy over the one lattice walk in fourfold._pure.
 
-The existence search deepens: it sweeps boxes of max-norm 0, 1, 2, 4, ...
-up to the bound and stops at the first box that holds a hit, so a small
-witness is found without walking the whole box; only a box without any
-solution is exhausted.  The boxes between the last empty one and the hit's
-max-norm are then swept in order, each for its first hit.
+The existence search deepens: it decides boxes of max-norm 0, 1, 2, 4, ...
+up to the bound and stops at the first box that holds a solution, so a
+small witness is found without deciding the whole box.  The boxes between
+the last empty one and the hit's max-norm are then decided in order, each
+for its first solution.
 
-The listing cuts the form into contiguous orthogonal intervals (blocks).
-On a direct sum q(h) is the sum of the blocks' squares.  One walk of each
-block's parity box gives its value set; a second lists only the block's
-vectors of the values some live residual target can use, those that leave
-a remainder the blocks after it still reach.  A depth-first pass then
-joins those lists in coordinate order.  A single block is swept whole.
+Both the search and the listing cut the form into contiguous orthogonal
+intervals (blocks).  On a direct sum q(h) is the sum of the blocks' squares.
+A walk of each distinct block's parity box gives its table, which maps each
+value the block takes to its lex-first vector of that value, and the suffix
+sumsets reach[b] hold the values the blocks after b reach together.  A form
+of one block is swept whole, by one first-hit sweep per box or by one
+all_hits sweep for the listing.
 
-Both read _pure.prefixes, which keeps each prefix's square and its cross
-term with the last coordinate as running values: the sweeps solve the last
-coordinate in closed form, the listing evaluates it value by value.  All of
-it is arbitrary-precision, so every form and bound is searched exactly.  The
-sweeps (_pure.first_hit, _pure.all_hits) are looked up on the _pure module
-at call time, so a tracer that wraps those attributes sees every sweep; a
-listing of two or more blocks runs none.
+On two or more blocks the search sweeps each box whole for its first hit
+but walks at most as many prefixes as the tables have points; a sweep cut
+short leaves the box to the tables, which pick its lex-first solution block
+by block.  The listing keeps, per block, only the values some live residual
+target can use, those that leave a remainder the blocks after it still
+reach; a second walk lists the block's vectors of those values, and a
+depth-first pass joins those lists in coordinate order.
+
+Everything reads _pure.prefixes, which keeps each prefix's square and its
+cross term with the last coordinate as running values: the sweeps solve the
+last coordinate in closed form, the tables and the listing evaluate it
+value by value.  All of it is arbitrary-precision, so every form and bound
+is searched exactly.  The whole-box sweeps (_pure.first_hit,
+_pure.all_hits) are looked up on the _pure module at call time, so a tracer
+that wraps those attributes sees them; a sweep that may be cut short, the
+tables and the listing of two or more blocks call neither.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from . import _pure
-from .forms import IntersectionForm, _components
+from .forms import IntersectionForm
 
 
 def compiled_available() -> bool:
@@ -40,8 +51,8 @@ def backend_name() -> str:
     return "pure"
 
 
-def _flatten(form: IntersectionForm) -> list[int]:
-    return [x for row in form.matrix.entries() for x in row]
+def _flatten(rows: Sequence[Sequence[int]]) -> list[int]:
+    return [x for row in rows for x in row]
 
 
 def _check_inputs(form: IntersectionForm, residues: Sequence[int], bound: int) -> None:
@@ -62,23 +73,40 @@ def find_minimal_witness(
     """Solution of q(h) = target, h = residues mod 2, max|h_i| <= bound.
 
     Returns the lexicographically smallest solution among those of minimal
-    max-norm, or None when the box holds no solution.  Strategy: first-hit
-    sweeps over the boxes m = 0, 1, 2, 4, ..., the last one exactly `bound`,
-    stopping at the first box that holds a hit.  Every smaller box was
-    empty, so no solution has max-norm at or below the last empty box.  The
-    boxes strictly between it and the hit's max-norm are then swept in
-    increasing order: each comes after a box without a solution, so all its
-    hits lie on its outer shell and its first hit is the answer.  When none
-    holds a solution, the box hit is the answer: it is the lexicographically
-    first of all box solutions, so also of those on its own shell.
+    max-norm, or None when the box holds no solution.  Strategy: decide the
+    boxes m = 0, 1, 2, 4, ..., the last one exactly `bound`, in order, each
+    by its lexicographically first solution, and stop at the first box that
+    holds one.  Every smaller box was empty, so no solution has max-norm at
+    or below the last empty box.  The boxes strictly between it and the
+    hit's max-norm are then decided in increasing order: each comes after a
+    box without a solution, so all its solutions lie on its outer shell and
+    its first is the answer.  When none holds a solution, the box hit is
+    the answer: it is the lexicographically first of all box solutions, so
+    also of those on its own shell.
+
+    A form of one block decides a box with one first-hit sweep.  A form of
+    two or more contiguous orthogonal blocks (_block_search) first sweeps
+    the box whole for its first hit, but walks at most as many prefixes as
+    the block tables have points; when that sweep is cut short, the tables
+    decide the box and give its lexicographically first solution.
     """
     _check_inputs(form, residues, bound)
-    qflat = _flatten(form)
+    rows = form.matrix.entries()
     residues = list(residues)
+    spans = _intervals(rows)
+    if len(spans) < 2:
+        qflat = _flatten(rows)
+
+        def first(box: int) -> tuple[int, ...] | None:
+            return _pure.first_hit(qflat, residues, form.rank, box, target)
+
+    else:
+        first = _block_search(rows, residues, spans, target)
+
     empty = -1  # largest box known to hold no solution
     box = 0
     while True:
-        hit = _pure.first_hit(qflat, residues, form.rank, box, target)
+        hit = first(box)
         if hit is not None:
             break
         if box == bound:
@@ -87,7 +115,7 @@ def find_minimal_witness(
         box = min(bound, 2 * box or 1)
     cap = max((abs(c) for c in hit), default=0)
     for shell in range(empty + 1, cap):
-        found = _pure.first_hit(qflat, residues, form.rank, shell, target)
+        found = first(shell)
         if found is not None:
             return found
     return hit
@@ -96,21 +124,38 @@ def find_minimal_witness(
 def _intervals(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """[start, stop) of each contiguous orthogonal interval, in order.
 
-    A cut goes at each i where no entry couples [0, i) with [i, n): the
-    index spans of the off-diagonal graph's components, merged where they
-    overlap.
+    A cut goes after row i when no row up to i has a nonzero entry right of
+    column i: the form is symmetric, so then no entry couples [0, i] with
+    the rest.
     """
-    spans: list[list[int]] = []
-    for block in _components(rows):  # ordered by smallest index
-        if spans and block[0] < spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], block[-1] + 1)
-        else:
-            spans.append([block[0], block[-1] + 1])
+    spans = []
+    start = end = 0  # end: i, or the rightmost nonzero column of the rows so far
+    for i, row in enumerate(rows):
+        end = max(end, i)
+        if any(row[end + 1 :]):
+            end = max(j for j, x in enumerate(row) if x)
+        if end == i:
+            spans.append([start, i + 1])
+            start = i + 1
     return spans
 
 
+Block = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _blocks(
+    rows: Sequence[Sequence[int]], residues: Sequence[int], spans: list[list[int]]
+) -> list[Block]:
+    """(flattened matrix, residues, rank) of each block; equal blocks compare equal."""
+    residues = tuple(residues)
+    return [
+        (tuple([x for row in rows[a:b] for x in row[a:b]]), residues[a:b], b - a)
+        for a, b in spans
+    ]
+
+
 def _walk(
-    qflat: list[int], residues: list[int], rank: int, bound: int
+    qflat: Sequence[int], residues: Sequence[int], rank: int, bound: int
 ) -> Iterator[tuple[tuple[int, ...], range, list[int]]]:
     """The block's parity box in lex order, one prefix at a time.
 
@@ -124,6 +169,91 @@ def _walk(
         yield tuple(cur[:-1]), last, [k + (2 * c + a * v) * v for v in last]
 
 
+def _tables(
+    blocks: list[Block], bound: int
+) -> tuple[list[dict[int, tuple[int, ...]]], list[set[int]]]:
+    """Each block's table over its parity box, and the suffix sumsets.
+
+    A table maps each value the block takes to its lex-first vector of that
+    value; equal blocks share one table.  reach[b] holds every sum of one
+    value from each block after b.
+    """
+    distinct: dict[Block, dict[int, tuple[int, ...]]] = {block: {} for block in blocks}
+    # _walk's loop, inlined: a table builds a tuple only for each new value
+    for (flat, residues, rank), table in distinct.items():
+        last = range(_pure._start_value(residues[-1], bound), bound + 1, 2)
+        a = flat[-1]
+        for cur, k, c in _pure.prefixes(flat, residues, rank, bound):
+            for v in last:
+                q = k + (2 * c + a * v) * v
+                if q not in table:
+                    cur[-1] = v
+                    table[q] = tuple(cur)
+    tables = [distinct[block] for block in blocks]
+    reach = [{0}] * len(blocks)
+    for b in range(len(blocks) - 2, -1, -1):
+        reach[b] = {v + s for v in tables[b + 1] for s in reach[b + 1]}
+    return tables, reach
+
+
+def _block_search(
+    rows: Sequence[Sequence[int]], residues: list[int], spans: list[list[int]], target: int
+) -> Callable[[int], tuple[int, ...] | None]:
+    """first(box): the lex-first solution in the box, or None, on two or more blocks.
+
+    A whole-box first-hit sweep runs first, but may walk only as many
+    prefixes as the block tables have points, so it settles a box whose
+    first hit comes early (E8 + H) and is cut short where the box is large
+    and its hits late or absent (CP2 # k CP2bar, diag(2,2,2,2)).  The tables
+    then decide: the box holds a solution iff target - v is in reach[0] for
+    some value v of block 0.  The blocks are contiguous intervals, so the
+    lex-first solution takes, block by block, the lex-smallest vector whose
+    residual the blocks after it still reach.  Either way the box costs at
+    most about twice the cheaper of the two.
+    """
+    qflat = _flatten(rows)
+    rank = len(residues)
+    blocks = _blocks(rows, residues, spans)
+    # the box holds evens**e * odds**o vectors with e even and o odd residues:
+    # (e, o) of the whole box's prefixes and of each distinct block
+    head = (residues[:-1].count(0), residues[:-1].count(1))
+    shapes = [(res.count(0), res.count(1)) for _, res, _ in set(blocks)]
+    # boxes that hold the same vectors have the same first solution: box 2
+    # holds just box 1's when every residue is odd, and box 1 just box 0's
+    # when every residue is even
+    has_even, has_odd = 0 in residues, 1 in residues
+    seen: dict[tuple[int, int], tuple[int, ...] | None] = {}
+
+    def first(box: int) -> tuple[int, ...] | None:
+        evens, odds = box // 2 * 2 + 1, (box + 1) // 2 * 2
+        key = (evens * has_even, odds * has_odd)
+        if key not in seen:
+            seen[key] = decide(box, evens, odds)
+        return seen[key]
+
+    def decide(box: int, evens: int, odds: int) -> tuple[int, ...] | None:
+        budget = sum(evens**e * odds**o for e, o in shapes)
+        if evens ** head[0] * odds ** head[1] <= budget:  # the whole sweep fits
+            return _pure.first_hit(qflat, residues, rank, box, target)
+        walk = _pure.prefixes(qflat, residues, rank, box)
+        capped = _pure.solutions(islice(walk, budget), qflat, residues, box, target)
+        hit = next(capped, None)
+        if hit is not None or next(walk, None) is None:
+            return hit
+        tables, reach = _tables(blocks, box)
+        found: tuple[int, ...] = ()
+        residual = target
+        for table, after in zip(tables, reach):
+            pick = min(((x, v) for v, x in table.items() if residual - v in after), default=None)
+            if pick is None:
+                return None
+            found += pick[0]
+            residual -= pick[1]
+        return found
+
+    return first
+
+
 def _block_listing(
     rows: Sequence[Sequence[int]],
     residues: Sequence[int],
@@ -133,28 +263,22 @@ def _block_listing(
 ) -> list[tuple[int, ...]]:
     """The box solutions of a form with two or more blocks, in lex order.
 
-    One walk of each block gives its value set.  A forward pass then keeps,
-    per block, the values some live residual can use: the residual minus
-    the value is still reached by the blocks after it.  A second walk lists
-    each block's vectors of those values in lex order, the last block's
-    grouped by value.  Global lexicographic order is the order of the block
-    vectors, block by block, so a depth-first walk that filters each block's
-    list by the node's residual emits it directly.
+    The block tables give each block's value set and the suffix sumsets
+    reach.  A forward pass then keeps, per block, the values some live
+    residual can use: the residual minus the value is still reached by the
+    blocks after it.  A second walk lists each block's vectors of those
+    values in lex order, the last block's grouped by value.  Global
+    lexicographic order is the order of the block vectors, block by block,
+    so a depth-first walk that filters each block's list by the node's
+    residual emits it directly.
     """
-    blocks = []
-    for start, stop in spans:
-        flat = [x for row in rows[start:stop] for x in row[start:stop]]
-        blocks.append((flat, list(residues[start:stop]), stop - start))
-    values = [{q for _, _, qs in _walk(*block, bound) for q in qs} for block in blocks]
+    blocks = _blocks(rows, residues, spans)
+    tables, reach = _tables(blocks, bound)
     last = len(blocks) - 1
-    # reach[b]: every sum of one value from each block after b
-    reach = [{0}] * len(blocks)
-    for b in range(last - 1, -1, -1):
-        reach[b] = {v + s for v in values[b + 1] for s in reach[b + 1]}
     keep = []
     live = {target}
     for b, after in enumerate(reach):
-        used = [(v, r - v) for r in live for v in values[b] if r - v in after]
+        used = [(v, r - v) for r in live for v in tables[b] if r - v in after]
         keep.append({v for v, _ in used})
         live = {s for _, s in used}
     if not live:
@@ -203,5 +327,5 @@ def enumerate_witnesses(
     rows = form.matrix.entries()
     spans = _intervals(rows)
     if len(spans) < 2:
-        return _pure.all_hits(_flatten(form), list(residues), form.rank, bound, target)
+        return _pure.all_hits(_flatten(rows), list(residues), form.rank, bound, target)
     return _block_listing(rows, residues, spans, bound, target)

@@ -120,6 +120,27 @@ def descartes_signature(rows: Sequence[Sequence[int]]) -> int:
     return _sign_changes(p) - _sign_changes(mirrored)
 
 
+# the E8 root lattice: Cartan matrix of the E8 Dynkin diagram, det 1
+_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
+E8_ROWS = [
+    [2 if i == j else -((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(8)]
+    for i in range(8)
+]
+H_ROWS = [[0, 1], [1, 0]]
+
+
+def block_sum(*blocks: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of the block sum of the blocks, in order."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return rows
+
+
 # Summand vocabulary for assembled forms: "H" or ("diag", d).
 H_SUMMAND = "H"
 

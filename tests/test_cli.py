@@ -18,6 +18,7 @@ from fourfold.cli import (
     EXIT_OK,
     EXIT_PARSE,
     ManifoldFileError,
+    _emit_enumeration_json,
     format_manifold_file,
     main,
     parse_manifold_file,
@@ -173,6 +174,16 @@ class TestAnalyze:
         assert doc["almost_complex"]["witness"]["square"] == -16
         assert doc["discrepancies"] == []
 
+    def test_cp2_19cp2bar_witness(self, capsys, tmp_path):
+        # a rational surface of rank 20, decided block by block
+        path = tmp_path / "m.man"
+        path.write_text(_diag_file([1] + [-1] * 19), encoding="ascii")
+        code, out, err = run(capsys, "analyze", "--file", str(path), "--bound", "32", "--json")
+        assert code == EXIT_OK and err == ""
+        verdict = json.loads(out)["almost_complex"]
+        assert verdict["status"] == "Exists"
+        assert verdict["witness"] == {"coefficients": [-3] + [-1] * 19, "square": -10}
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "analyze", "--family", "M3 g=1 n=2")
         _, second, _ = run(capsys, "analyze", "--family", "M3 g=1 n=2")
@@ -262,6 +273,13 @@ class TestEnumerate:
         assert json.dumps(doc, indent=2) + "\n" == out
         assert len(doc["witnesses"]) == count
         assert list(doc)[-1] == "witnesses"
+
+    def test_rank_zero_listing_matches_stdlib(self, capsys):
+        # one witness, the empty class: its coefficients print as []
+        header = {"target_square": 0, "complete": False, "bound": 3}
+        _emit_enumeration_json(header, obstruction.ChernEnumeration(((),), 0, False, 3))
+        expected = dict(header, witnesses=[{"coefficients": [], "square": 0}])
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     @given(
         entries=st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=4),

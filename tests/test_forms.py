@@ -15,7 +15,14 @@ from fourfold.forms import (
     IntersectionForm,
     build_form,
 )
-from oracles import cofactor_determinant, descartes_signature, matmul, transpose
+from oracles import (
+    E8_ROWS,
+    block_sum,
+    cofactor_determinant,
+    descartes_signature,
+    matmul,
+    transpose,
+)
 
 
 @st.composite
@@ -217,23 +224,9 @@ class TestSignature:
             assert transformed.signature == q.signature
 
 
-# the E8 root lattice: Cartan matrix of the E8 Dynkin diagram, det 1
-_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
-_E8_ROWS = [
-    [2 if i == j else -((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(8)]
-    for i in range(8)
-]
-
-
 def _permuted_block_sum(blocks, perm):
     """The block sum of blocks, rows and columns both reordered by perm."""
-    n = sum(len(b) for b in blocks)
-    q = [[0] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            q[offset + i][offset : offset + len(b)] = row
-        offset += len(b)
+    q = block_sum(*blocks)
     return [[q[i][j] for j in perm] for i in perm]
 
 
@@ -248,7 +241,7 @@ def permuted_block_sums(draw):
     blocks = draw(st.lists(block, min_size=1, max_size=4))
     if draw(st.booleans()):
         sign = draw(st.sampled_from([1, -1]))
-        e8 = [[sign * x for x in row] for row in _E8_ROWS]
+        e8 = [[sign * x for x in row] for row in E8_ROWS]
         blocks.insert(draw(st.integers(0, len(blocks))), e8)
     n = sum(len(b) for b in blocks)
     return _permuted_block_sum(blocks, draw(st.permutations(range(n)))), blocks
@@ -271,7 +264,7 @@ class TestBlockwisePass:
             assert q.signature == descartes_signature(rows)
 
     def test_one_degenerate_block(self):
-        blocks = [[[0, 1], [1, 0]], _E8_ROWS, [[1, 1], [1, 1]], [[3]]]
+        blocks = [[[0, 1], [1, 0]], E8_ROWS, [[1, 1], [1, 1]], [[3]]]
         perm = list(range(13))
         random.Random(6).shuffle(perm)
         q = IntersectionForm(IntegerMatrix(_permuted_block_sum(blocks, perm)))

@@ -12,7 +12,10 @@ from fourfold.forms import IntegerMatrix, IntersectionForm, build_form
 from fourfold.obstruction import VerdictStatus, decide_wu_existence
 from fourfold.search import enumerate_witnesses, find_minimal_witness
 from oracles import (
+    E8_ROWS,
+    H_ROWS,
     assemble_form,
+    block_sum,
     box_solutions,
     box_solvable,
     quadratic_value,
@@ -24,6 +27,24 @@ from oracles import (
 def _minimal(hits):
     """The lex-smallest of the hits of minimal max-norm, or None."""
     return min(hits, key=lambda w: (max(map(abs, w), default=0), w), default=None)
+
+
+_E8_H = block_sum(E8_ROWS, H_ROWS)
+_NEG_E8 = [[-x for x in row] for row in E8_ROWS]
+
+
+def _counting_prefixes(monkeypatch) -> list[int]:
+    """Count the prefixes _pure.prefixes yields from now on, in a one-item list."""
+    walked = [0]
+    prefixes = _pure.prefixes
+
+    def counting(*args):
+        for item in prefixes(*args):
+            walked[0] += 1
+            yield item
+
+    monkeypatch.setattr(_pure, "prefixes", counting)
+    return walked
 
 
 class TestGuards:
@@ -102,6 +123,31 @@ class TestSearchStrategy:
         q = IntersectionForm.diagonal([1])
         assert find_minimal_witness(q, (0,), 4, 16) == (-4,)
         assert boxes == [0, 1, 2, 4, 3]
+
+    @pytest.mark.parametrize(
+        "rows, residues, target, witness, most",
+        [
+            # one block sum whose whole-box sweep hits after 27 prefixes: the
+            # sweep must settle it, not the E8 block's table
+            (_E8_H, (0,) * 10, 48, (-2,) * 6 + (2, 2, -2, -2), 54),
+            # boxes without a hit up to 32: a whole-box sweep walks 41,733
+            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 20, None, 100),
+            # CP2 # 7 CP2bar: a whole-box sweep walks 1,622
+            (
+                [[(1 if i == 0 else -1) if i == j else 0 for j in range(8)] for i in range(8)],
+                (1,) * 8,
+                2,
+                (-3,) + (-1,) * 7,
+                100,
+            ),
+        ],
+        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar"],
+    )
+    def test_prefixes_walked_on_block_sums(self, monkeypatch, rows, residues, target, witness, most):
+        walked = _counting_prefixes(monkeypatch)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert find_minimal_witness(q, residues, 32, target) == witness
+        assert 0 < walked[0] <= most
 
     def test_rank_zero_form(self):
         q = IntersectionForm(IntegerMatrix([]))
@@ -192,12 +238,7 @@ def _block_sum_cases(draw):
                     block[i][j] = block[j][i] = draw(st.integers(-3, 3))
         blocks.append(block)
         size += len(block)
-    rows = [[0] * rank for _ in range(rank)]
-    offset = 0
-    for block in blocks:
-        for i, row in enumerate(block):
-            rows[offset + i][offset : offset + len(row)] = row
-        offset += len(block)
+    rows = block_sum(*blocks)
     if draw(st.booleans()):
         rows = _conjugate(rows, draw(st.permutations(range(rank))))
     residues = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
@@ -291,17 +332,25 @@ class TestAgainstBruteForce:
     @example(
         ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], [1, 1, 1, 1], 5, 6)
     )
+    # box 4 hits first, then shell 3 holds the minimal witness (0, 0, -3)
+    @example(([[2, 0, 0], [0, 1, 0], [0, 0, 2]], [0, 0, 1], 8, 18))
+    # E8 + H: the whole-box sweep hits early, so it settles the box
+    @example((_E8_H, [0] * 10, 2, 8))
+    @example((_E8_H, [0] * 10, 2, 48))
+    # diag(2,2,2,2): no box holds a solution, so the tables decide each one
+    @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 20))
     @settings(max_examples=500, derandomize=True, deadline=None)
     def test_enumerate_on_block_sums(self, case):
+        # the listing and the minimal witness, both against the brute force
         rows, residues, bound, target = case
         q = IntersectionForm(IntegerMatrix(rows))
-        assert enumerate_witnesses(q, residues, bound, target) == box_solutions(
-            rows, residues, bound, target
-        )
+        hits = box_solutions(rows, residues, bound, target)
+        assert enumerate_witnesses(q, residues, bound, target) == hits
+        assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
 
 
 class TestWorstCase:
-    """Rational surfaces at the default bound, which a full-box sweep takes minutes on."""
+    """Block sums at the default bound, which a whole-box sweep takes minutes on."""
 
     def test_cp2_7cp2bar(self):
         q = IntersectionForm.diagonal([1] + [-1] * 7)
@@ -312,3 +361,16 @@ class TestWorstCase:
         verdict = decide_wu_existence(q, (1,) * 9, 1, bound=32)
         assert verdict.status is VerdictStatus.EXISTS
         assert verdict.witness.coefficients == (-3,) + (-1,) * 8
+
+    def test_cp2_19cp2bar(self):
+        q = IntersectionForm.diagonal([1] + [-1] * 19)
+        assert find_minimal_witness(q, (1,) * 20, 32, -10) == (-3,) + (-1,) * 19
+
+    def test_diag_2x5_has_no_witness(self):
+        q = IntersectionForm.diagonal([2] * 5)
+        assert find_minimal_witness(q, (0,) * 5, 32, 14) is None
+
+    def test_k3_form(self):
+        # 2(-E8) + 3H, the intersection form of K3
+        q = IntersectionForm(IntegerMatrix(block_sum(_NEG_E8, _NEG_E8, H_ROWS, H_ROWS, H_ROWS)))
+        assert find_minimal_witness(q, (0,) * 22, 32, 16) == (-2,) * 8 + (0,) * 8 + (-2,) * 6
