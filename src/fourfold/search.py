@@ -35,10 +35,10 @@ tables and the listing of two or more blocks call neither.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 from . import _pure
-from .forms import IntersectionForm
+from .forms import IntersectionForm, _components
 
 
 def compiled_available() -> bool:
@@ -124,19 +124,16 @@ def find_minimal_witness(
 def _intervals(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """[start, stop) of each contiguous orthogonal interval, in order.
 
-    A cut goes after row i when no row up to i has a nonzero entry right of
-    column i: the form is symmetric, so then no entry couples [0, i] with
-    the rest.
+    A cut goes at each i where no entry couples [0, i) with [i, n): the
+    index spans of the off-diagonal graph's components, merged where they
+    overlap.
     """
-    spans = []
-    start = end = 0  # end: i, or the rightmost nonzero column of the rows so far
-    for i, row in enumerate(rows):
-        end = max(end, i)
-        if any(row[end + 1 :]):
-            end = max(j for j, x in enumerate(row) if x)
-        if end == i:
-            spans.append([start, i + 1])
-            start = i + 1
+    spans: list[list[int]] = []
+    for block in _components(rows):  # ordered by smallest index
+        if spans and block[0] < spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], block[-1] + 1)
+        else:
+            spans.append([block[0], block[-1] + 1])
     return spans
 
 
@@ -155,18 +152,25 @@ def _blocks(
 
 
 def _walk(
-    qflat: Sequence[int], residues: Sequence[int], rank: int, bound: int
-) -> Iterator[tuple[tuple[int, ...], range, list[int]]]:
-    """The block's parity box in lex order, one prefix at a time.
+    qflat: Sequence[int],
+    residues: Sequence[int],
+    rank: int,
+    bound: int,
+    skip: Container[int],
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The block's parity box in lex order, less the points whose value is in skip.
 
-    Yields (prefix, last, values): last is the ascending range of the last
-    coordinate and values[i] is q(prefix, last[i]).
+    Yields (vector, value).  skip is read at each point, so a caller may
+    add to it between yields.
     """
     last = range(_pure._start_value(residues[-1], bound), bound + 1, 2)
     a = qflat[-1]
     for cur, k, c in _pure.prefixes(qflat, residues, rank, bound):
-        # q(prefix, v) = k + 2*c*v + a*v*v
-        yield tuple(cur[:-1]), last, [k + (2 * c + a * v) * v for v in last]
+        for v in last:
+            q = k + (2 * c + a * v) * v  # q(prefix, v)
+            if q not in skip:
+                cur[-1] = v
+                yield tuple(cur), q
 
 
 def _tables(
@@ -179,16 +183,9 @@ def _tables(
     value from each block after b.
     """
     distinct: dict[Block, dict[int, tuple[int, ...]]] = {block: {} for block in blocks}
-    # _walk's loop, inlined: a table builds a tuple only for each new value
-    for (flat, residues, rank), table in distinct.items():
-        last = range(_pure._start_value(residues[-1], bound), bound + 1, 2)
-        a = flat[-1]
-        for cur, k, c in _pure.prefixes(flat, residues, rank, bound):
-            for v in last:
-                q = k + (2 * c + a * v) * v
-                if q not in table:
-                    cur[-1] = v
-                    table[q] = tuple(cur)
+    for block, table in distinct.items():
+        for x, q in _walk(*block, bound, table):  # each value's first vector
+            table[q] = x
     tables = [distinct[block] for block in blocks]
     reach = [{0}] * len(blocks)
     for b in range(len(blocks) - 2, -1, -1):
@@ -201,22 +198,21 @@ def _block_search(
 ) -> Callable[[int], tuple[int, ...] | None]:
     """first(box): the lex-first solution in the box, or None, on two or more blocks.
 
-    A whole-box first-hit sweep runs first, but may walk only as many
-    prefixes as the block tables have points, so it settles a box whose
-    first hit comes early (E8 + H) and is cut short where the box is large
-    and its hits late or absent (CP2 # k CP2bar, diag(2,2,2,2)).  The tables
-    then decide: the box holds a solution iff target - v is in reach[0] for
-    some value v of block 0.  The blocks are contiguous intervals, so the
-    lex-first solution takes, block by block, the lex-smallest vector whose
-    residual the blocks after it still reach.  Either way the box costs at
-    most about twice the cheaper of the two.
+    A whole-box first-hit sweep runs first.  Its budget is the number of
+    points the tables would walk, the sum of the distinct blocks' box sizes,
+    and it may walk that many prefixes of the whole box.  So it settles a
+    box that it exhausts or whose first hit comes early (E8 + H), and is cut
+    short where the box is large and its hits late or absent (CP2 # k CP2bar,
+    diag(2,2,2,2)).  The tables then decide: the box holds a solution iff
+    target - v is in reach[0] for some value v of block 0.  The blocks are
+    contiguous intervals, so the lex-first solution takes, block by block,
+    the lex-smallest vector whose residual the blocks after it still reach.
     """
     qflat = _flatten(rows)
     rank = len(residues)
     blocks = _blocks(rows, residues, spans)
-    # the box holds evens**e * odds**o vectors with e even and o odd residues:
-    # (e, o) of the whole box's prefixes and of each distinct block
-    head = (residues[:-1].count(0), residues[:-1].count(1))
+    # a block's box holds evens**e * odds**o vectors, with e even and o odd
+    # residues: (e, o) of each distinct block
     shapes = [(res.count(0), res.count(1)) for _, res, _ in set(blocks)]
     # boxes that hold the same vectors have the same first solution: box 2
     # holds just box 1's when every residue is odd, and box 1 just box 0's
@@ -233,12 +229,10 @@ def _block_search(
 
     def decide(box: int, evens: int, odds: int) -> tuple[int, ...] | None:
         budget = sum(evens**e * odds**o for e, o in shapes)
-        if evens ** head[0] * odds ** head[1] <= budget:  # the whole sweep fits
-            return _pure.first_hit(qflat, residues, rank, box, target)
         walk = _pure.prefixes(qflat, residues, rank, box)
         capped = _pure.solutions(islice(walk, budget), qflat, residues, box, target)
         hit = next(capped, None)
-        if hit is not None or next(walk, None) is None:
+        if hit is not None or next(walk, None) is None:  # a hit, or the box exhausted
             return hit
         tables, reach = _tables(blocks, box)
         found: tuple[int, ...] = ()
@@ -284,13 +278,8 @@ def _block_listing(
     if not live:
         return []
     lists = [
-        [
-            (prefix + (v,), q)
-            for prefix, last_range, qs in _walk(*block, bound)
-            for v, q in zip(last_range, qs)
-            if q in kept
-        ]
-        for block, kept in zip(blocks, keep)
+        list(_walk(*block, bound, table.keys() - kept))
+        for block, table, kept in zip(blocks, tables, keep)
     ]
     tail: dict[int, list[tuple[int, ...]]] = {}
     for x, q in lists.pop():

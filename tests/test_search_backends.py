@@ -140,8 +140,11 @@ class TestSearchStrategy:
                 (-3,) + (-1,) * 7,
                 100,
             ),
+            # every budgeted sweep exhausts its box, 68 prefixes in all, so
+            # no block table is built
+            ([[1, 0], [0, -1]], (0, 0), 1, None, 68),
         ],
-        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar"],
+        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar", "diag(1,-1)"],
     )
     def test_prefixes_walked_on_block_sums(self, monkeypatch, rows, residues, target, witness, most):
         walked = _counting_prefixes(monkeypatch)
