@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -403,6 +404,7 @@ def _add_source_flags(parser: _Parser, family_only: bool = False) -> None:
         parser.add_argument("--file", metavar="PATH", help="manifold file to read")
 
 
+@cache  # argparse formats every argument as it is added; do that once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="fourfold", description="structure obstructions for 4-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)

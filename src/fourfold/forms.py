@@ -2,9 +2,11 @@
 
 Everything here is arbitrary-precision: matrices hold Python ints, and a
 form's determinant and signature come together from one fraction-free
-Bareiss pass with symmetric pivoting per orthogonal block.  No float or
+Bareiss pass with symmetric pivoting per orthogonal component.  No float or
 rational ever appears, so no overflow or rounding can occur at any input
-size.
+size.  IntersectionForm.blocks is the one split of a form into contiguous
+orthogonal blocks that the search, the residue and the kH and diagonal
+checks read.
 
 Forms can be described in a small text grammar::
 
@@ -125,25 +127,6 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self._data]!r})"
 
 
-def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Index sets of the connected components of a symmetric matrix's
-    off-diagonal graph, each ascending, ordered by their smallest index."""
-    seen: set[int] = set()
-    blocks = []
-    for start in range(len(rows)):
-        if start in seen:
-            continue
-        seen.add(start)
-        block = [start]
-        for i in block:  # block grows while it is walked
-            for j, x in enumerate(rows[i]):
-                if x and j not in seen:
-                    seen.add(j)
-                    block.append(j)
-        blocks.append(sorted(block))
-    return blocks
-
-
 def _bareiss_inertia(a: list[list[int]]) -> tuple[int, int]:
     """(determinant, negative eigenvalue count) of the symmetric rows a,
     by one Bareiss pass in integers; a is overwritten.
@@ -254,20 +237,52 @@ class IntersectionForm:
         return all(self._matrix.entry(i, i) % 2 == 0 for i in range(self.rank))
 
     @cached_property
-    def _inertia(self) -> tuple[int, int]:
-        """(determinant, negative eigenvalue count), one integer pass per block.
+    def _components(self) -> list[list[int]]:
+        """Index sets of the connected components of the off-diagonal graph,
+        each ascending, ordered by their smallest index; found once per form."""
+        rows = self._matrix.entries()
+        seen: set[int] = set()
+        components = []
+        for start in range(self.rank):
+            if start in seen:
+                continue
+            seen.add(start)
+            component = [start]
+            for i in component:  # component grows while it is walked
+                for j, x in enumerate(rows[i]):
+                    if x and j not in seen:
+                        seen.add(j)
+                        component.append(j)
+            components.append(sorted(component))
+        return components
 
-        The form splits into the connected components of its off-diagonal
-        graph; grouping each component's indices is a simultaneous
-        permutation of rows and columns, which keeps the determinant and the
-        inertia.  So the determinant is the product of the blocks'
-        determinants, the negative count their sum, and a degenerate block
-        makes the whole form degenerate, reported as (0, 0).
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """(start, stop) of each contiguous orthogonal block, in order: the
+        components' index spans, merged where they overlap."""
+        spans: list[tuple[int, int]] = []
+        for component in self._components:  # ordered by smallest index
+            if spans and component[0] < spans[-1][1]:
+                spans[-1] = (spans[-1][0], max(spans[-1][1], component[-1] + 1))
+            else:
+                spans.append((component[0], component[-1] + 1))
+        return tuple(spans)
+
+    @cached_property
+    def _inertia(self) -> tuple[int, int]:
+        """(determinant, negative eigenvalue count), one integer pass per component.
+
+        Grouping each component's indices is a simultaneous permutation of
+        rows and columns, which keeps the determinant and the inertia.  So
+        the determinant is the product of the components' determinants, the
+        negative count their sum, and a degenerate component makes the whole
+        form degenerate, reported as (0, 0).  Components, not blocks, so
+        that a permuted basis does not merge into one O(n^3) pass.
         """
         rows = self._matrix.entries()
         determinant, negative = 1, 0
-        for block in _components(rows):
-            d, neg = _bareiss_inertia([[rows[i][j] for j in block] for i in block])
+        for component in self._components:
+            d, neg = _bareiss_inertia([[rows[i][j] for j in component] for i in component])
             if d == 0:
                 return 0, 0
             determinant *= d
@@ -297,46 +312,48 @@ class IntersectionForm:
     def characteristic_residue(self) -> tuple[int, ...]:
         """The unique mod-2 class c with pairing(c, x) = q(x) mod 2 for all x.
 
-        Solves (Q c)_i = Q_ii mod 2 by Gaussian elimination over GF(2); on a
-        unimodular form the system is uniquely solvable.  Even forms give the
+        Solves (Q c)_i = Q_ii mod 2 by Gaussian elimination over GF(2), block
+        by block: the system splits as the form does, so c is the blocks'
+        solutions side by side.  On a unimodular form every block is
+        unimodular and its system uniquely solvable.  Even forms give the
         zero vector.  Raises FormError for a form that is not unimodular.
         """
         if not self.is_unimodular:
             raise FormError("characteristic residue needs a unimodular form")
-        n = self.rank
-        rows = [
-            [v & 1 for v in row] + [row[i] & 1]
-            for i, row in enumerate(self._matrix.entries())
-        ]
-        pivots = 0
-        for col in range(n):
-            pivot = next((r for r in range(pivots, n) if rows[r][col]), None)
-            if pivot is None:
-                # cannot happen for unimodular forms: det is odd, so the mod-2
-                # matrix is invertible
-                raise FormError("mod-2 system is singular despite unimodularity")
-            rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
-            for other in range(n):
-                if other != pivots and rows[other][col]:
-                    rows[other] = [a ^ b for a, b in zip(rows[other], rows[pivots])]
-            pivots += 1
-        return tuple(row[n] for row in rows)
+        entries = self._matrix.entries()
+        residue: list[int] = []
+        for a, b in self.blocks:
+            n = b - a
+            rows = [
+                [v & 1 for v in row[a:b]] + [row[i] & 1] for i, row in enumerate(entries[a:b], a)
+            ]
+            pivots = 0
+            for col in range(n):
+                pivot = next((r for r in range(pivots, n) if rows[r][col]), None)
+                if pivot is None:
+                    # cannot happen for unimodular blocks: det is odd, so the
+                    # mod-2 matrix is invertible
+                    raise FormError("mod-2 system is singular despite unimodularity")
+                rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
+                for other in range(n):
+                    if other != pivots and rows[other][col]:
+                        rows[other] = [x ^ y for x, y in zip(rows[other], rows[pivots])]
+                pivots += 1
+            residue.extend(row[n] for row in rows)
+        return tuple(residue)
 
     @cached_property
     def hyperbolic_summands(self) -> int | None:
-        """k when the matrix literally equals a block-diagonal sum kH, else None.
+        """k when the form's blocks are k literal copies of H, else None.
 
         This is a syntactic check, not an isometry test: a form isometric to
-        kH in a rotated basis is not recognized.
+        kH in a rotated or permuted basis is not recognized.
         """
-        n = self.rank
-        if n == 0 or n % 2 != 0:
-            return None
-        for i, row in enumerate(self._matrix.entries()):
-            # row i of kH is zero but for a 1 at i's partner i ^ 1
-            if row[i ^ 1] != 1 or row.count(0) != n - 1:
-                return None
-        return n // 2
+        rows = self._matrix.entries()
+        # a block holds every nonzero entry of its rows
+        if all(tuple(row[a:b] for row in rows[a:b]) == ((0, 1), (1, 0)) for a, b in self.blocks):
+            return len(self.blocks) or None
+        return None
 
     def descriptor(self) -> str:
         """Canonical text form: "H", "kH", "diag(...)" or "matrix [[...]]"."""
@@ -346,7 +363,7 @@ class IntersectionForm:
         if k is not None:
             return f"{k}H"
         rows = self._matrix.entries()
-        if all(v == 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
+        if all(b - a == 1 for a, b in self.blocks):
             return "diag(" + ",".join(str(row[i]) for i, row in enumerate(rows)) + ")"
         inner = ",".join("[" + ",".join(map(str, row)) + "]" for row in rows)
         return f"matrix [{inner}]"
@@ -380,7 +397,9 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_matrix_literal(text: str) -> list[list[int]]:
-    squeezed = re.sub(r"\s+", "", text, flags=re.ASCII)
+    # whitespace goes only next to brackets and commas, so "1 2" stays one
+    # piece and is rejected as an integer
+    squeezed = re.sub(r"\s*([][,])\s*", r"\1", text, flags=re.ASCII)
     if not (squeezed.startswith("[[") and squeezed.endswith("]]")):
         raise FormParseError(f"malformed matrix literal: {text!r}")
     body = squeezed[2:-2]

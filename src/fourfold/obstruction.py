@@ -23,14 +23,15 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            last empty one and the hit's max-norm, decided in order, then
            settle the lex-smallest witness of minimal max-norm: each
            follows a box without a solution, so its solutions lie on its
-           outer shell.  A box is decided by a first-hit sweep, one
-           incremental prefix walk that solves the last coordinate as a
-           1-D quadratic.  On a form of two or more orthogonal blocks
-           that sweep may walk only as many prefixes as the per-block
-           value tables have points; cut short, the tables and their
-           suffix sumsets decide the box block by block.  Exhausting the
-           whole box without a hit is reported as Unknown together with
-           the bound, never as a nonexistence claim.
+           outer shell.  Every box is decided one way, on the form's
+           orthogonal blocks (IntersectionForm.blocks): a first-hit sweep,
+           one incremental prefix walk that solves the last coordinate as
+           a 1-D quadratic, that may walk only as many prefixes as the
+           per-block value tables have points; cut short, the tables and
+           their suffix sumsets decide the box block by block.  On one
+           block the sweep is never cut short.  Exhausting the whole box
+           without a hit is reported as Unknown together with the bound,
+           never as a nonexistence claim.
 """
 
 from __future__ import annotations

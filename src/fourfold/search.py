@@ -6,30 +6,31 @@ small witness is found without deciding the whole box.  The boxes between
 the last empty one and the hit's max-norm are then decided in order, each
 for its first solution.
 
-Both the search and the listing cut the form into contiguous orthogonal
-intervals (blocks).  On a direct sum q(h) is the sum of the blocks' squares.
-A walk of each distinct block's parity box gives its table, which maps each
-value the block takes to its lex-first vector of that value, and the suffix
-sumsets reach[b] hold the values the blocks after b reach together.  A form
-of one block is swept whole, by one first-hit sweep per box or by one
-all_hits sweep for the listing.
+Both the search and the listing read the form as its contiguous orthogonal
+blocks, IntersectionForm.blocks; on a direct sum q(h) is the sum of the
+blocks' squares.  A walk of each distinct block's parity box gives its
+table, which maps each value the block takes to its lex-first vector of that
+value, and the suffix sumsets reach[b] hold the values the blocks after b
+reach together.
 
-On two or more blocks the search sweeps each box whole for its first hit
-but walks at most as many prefixes as the tables have points; a sweep cut
-short leaves the box to the tables, which pick its lex-first solution block
-by block.  The listing keeps, per block, only the values some live residual
-target can use, those that leave a remainder the blocks after it still
-reach; a second walk lists the block's vectors of those values, and a
-depth-first pass joins those lists in coordinate order.
+The search has one box decider for every form.  It sweeps each box whole
+for its first hit but walks at most as many prefixes as the tables have
+points; a sweep cut short leaves the box to the tables, which pick its
+lex-first solution block by block.  On one block that budget covers the
+whole box, so the sweep decides it and no table is built.  The listing
+sweeps a form of one block whole, by one all_hits sweep that solves the
+last coordinate.  On two or more blocks it keeps, per block, only the
+values some live residual target can use, those that leave a remainder the
+blocks after it still reach; a second walk lists the block's vectors of
+those values, and a depth-first pass joins those lists in coordinate order.
 
 Everything reads _pure.prefixes, which keeps each prefix's square and its
 cross term with the last coordinate as running values: the sweeps solve the
 last coordinate in closed form, the tables and the listing evaluate it
 value by value.  All of it is arbitrary-precision, so every form and bound
-is searched exactly.  The whole-box sweeps (_pure.first_hit,
-_pure.all_hits) are looked up on the _pure module at call time, so a tracer
-that wraps those attributes sees them; a sweep that may be cut short, the
-tables and the listing of two or more blocks call neither.
+is searched exactly.  _pure.prefixes and the listing's whole-box sweep
+(_pure.all_hits) are looked up on the _pure module at call time, so a
+tracer that wraps those attributes sees them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import islice
 from typing import Callable, Container, Iterator, Sequence
 
 from . import _pure
-from .forms import IntersectionForm, _components
+from .forms import IntersectionForm
 
 
 def compiled_available() -> bool:
@@ -84,25 +85,16 @@ def find_minimal_witness(
     the answer: it is the lexicographically first of all box solutions, so
     also of those on its own shell.
 
-    A form of one block decides a box with one first-hit sweep.  A form of
-    two or more contiguous orthogonal blocks (_block_search) first sweeps
-    the box whole for its first hit, but walks at most as many prefixes as
-    the block tables have points; when that sweep is cut short, the tables
-    decide the box and give its lexicographically first solution.
+    Every box of a form of rank 1 or more is decided one way
+    (_block_search): a first-hit sweep of the whole box that walks at most
+    as many prefixes as the block tables have points, then, when that sweep
+    is cut short, the tables, which give the box's lexicographically first
+    solution.  Boxes that hold the same vectors are decided once.
     """
     _check_inputs(form, residues, bound)
-    rows = form.matrix.entries()
-    residues = list(residues)
-    spans = _intervals(rows)
-    if len(spans) < 2:
-        qflat = _flatten(rows)
-
-        def first(box: int) -> tuple[int, ...] | None:
-            return _pure.first_hit(qflat, residues, form.rank, box, target)
-
-    else:
-        first = _block_search(rows, residues, spans, target)
-
+    if not form.rank:
+        return () if target == 0 else None
+    first = _block_search(form, list(residues), target)
     empty = -1  # largest box known to hold no solution
     box = 0
     while True:
@@ -113,7 +105,7 @@ def find_minimal_witness(
             return None
         empty = box
         box = min(bound, 2 * box or 1)
-    cap = max((abs(c) for c in hit), default=0)
+    cap = max(abs(c) for c in hit)
     for shell in range(empty + 1, cap):
         found = first(shell)
         if found is not None:
@@ -121,33 +113,15 @@ def find_minimal_witness(
     return hit
 
 
-def _intervals(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """[start, stop) of each contiguous orthogonal interval, in order.
-
-    A cut goes at each i where no entry couples [0, i) with [i, n): the
-    index spans of the off-diagonal graph's components, merged where they
-    overlap.
-    """
-    spans: list[list[int]] = []
-    for block in _components(rows):  # ordered by smallest index
-        if spans and block[0] < spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], block[-1] + 1)
-        else:
-            spans.append([block[0], block[-1] + 1])
-    return spans
-
-
 Block = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _blocks(
-    rows: Sequence[Sequence[int]], residues: Sequence[int], spans: list[list[int]]
-) -> list[Block]:
+def _blocks(form: IntersectionForm, residues: Sequence[int]) -> list[Block]:
     """(flattened matrix, residues, rank) of each block; equal blocks compare equal."""
-    residues = tuple(residues)
+    rows, residues = form.matrix.entries(), tuple(residues)
     return [
         (tuple([x for row in rows[a:b] for x in row[a:b]]), residues[a:b], b - a)
-        for a, b in spans
+        for a, b in form.blocks
     ]
 
 
@@ -194,23 +168,25 @@ def _tables(
 
 
 def _block_search(
-    rows: Sequence[Sequence[int]], residues: list[int], spans: list[list[int]], target: int
+    form: IntersectionForm, residues: list[int], target: int
 ) -> Callable[[int], tuple[int, ...] | None]:
-    """first(box): the lex-first solution in the box, or None, on two or more blocks.
+    """first(box): the lex-first solution in the box, or None; rank 1 or more.
 
     A whole-box first-hit sweep runs first.  Its budget is the number of
     points the tables would walk, the sum of the distinct blocks' box sizes,
     and it may walk that many prefixes of the whole box.  So it settles a
     box that it exhausts or whose first hit comes early (E8 + H), and is cut
     short where the box is large and its hits late or absent (CP2 # k CP2bar,
-    diag(2,2,2,2)).  The tables then decide: the box holds a solution iff
-    target - v is in reach[0] for some value v of block 0.  The blocks are
-    contiguous intervals, so the lex-first solution takes, block by block,
-    the lex-smallest vector whose residual the blocks after it still reach.
+    diag(2,2,2,2)).  On one block the budget is the box's point count, no
+    less than its prefix count, so the sweep is never cut short.  Otherwise
+    the tables decide: the box holds a solution iff target - v is in
+    reach[0] for some value v of block 0.  The blocks are contiguous
+    intervals, so the lex-first solution takes, block by block, the
+    lex-smallest vector whose residual the blocks after it still reach.
     """
-    qflat = _flatten(rows)
-    rank = len(residues)
-    blocks = _blocks(rows, residues, spans)
+    qflat = _flatten(form.matrix.entries())
+    rank = form.rank
+    blocks = _blocks(form, residues)
     # a block's box holds evens**e * odds**o vectors, with e even and o odd
     # residues: (e, o) of each distinct block
     shapes = [(res.count(0), res.count(1)) for _, res, _ in set(blocks)]
@@ -228,6 +204,8 @@ def _block_search(
         return seen[key]
 
     def decide(box: int, evens: int, odds: int) -> tuple[int, ...] | None:
+        if has_odd and not odds:  # box 0 holds no odd coordinate
+            return None
         budget = sum(evens**e * odds**o for e, o in shapes)
         walk = _pure.prefixes(qflat, residues, rank, box)
         capped = _pure.solutions(islice(walk, budget), qflat, residues, box, target)
@@ -248,13 +226,7 @@ def _block_search(
     return first
 
 
-def _block_listing(
-    rows: Sequence[Sequence[int]],
-    residues: Sequence[int],
-    spans: list[list[int]],
-    bound: int,
-    target: int,
-) -> list[tuple[int, ...]]:
+def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[int, ...]]:
     """The box solutions of a form with two or more blocks, in lex order.
 
     The block tables give each block's value set and the suffix sumsets
@@ -266,7 +238,6 @@ def _block_listing(
     so a depth-first walk that filters each block's list by the node's
     residual emits it directly.
     """
-    blocks = _blocks(rows, residues, spans)
     tables, reach = _tables(blocks, bound)
     last = len(blocks) - 1
     keep = []
@@ -308,13 +279,13 @@ def enumerate_witnesses(
 ) -> list[tuple[int, ...]]:
     """All solutions in the box, in lexicographic order.
 
-    A form that splits into two or more contiguous orthogonal blocks is
-    listed block by block (see _block_listing); otherwise one all_hits sweep
-    walks the whole box.
+    A form of two or more blocks is listed block by block (see
+    _block_listing).  A form of one block is listed by one all_hits sweep,
+    which solves the last coordinate; its table would evaluate every point
+    of the box.
     """
     _check_inputs(form, residues, bound)
-    rows = form.matrix.entries()
-    spans = _intervals(rows)
-    if len(spans) < 2:
-        return _pure.all_hits(_flatten(rows), list(residues), form.rank, bound, target)
-    return _block_listing(rows, residues, spans, bound, target)
+    if len(form.blocks) < 2:
+        qflat = _flatten(form.matrix.entries())
+        return _pure.all_hits(qflat, list(residues), form.rank, bound, target)
+    return _block_listing(_blocks(form, residues), bound, target)

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourfold
 from fourfold import obstruction
 from fourfold.cli import (
     EXIT_INVALID,
@@ -449,6 +452,53 @@ class TestExitCodesAndErrors:
         path.write_text(GOOD_FILE.replace("form = H", "form = 0H"), encoding="ascii")
         code, _, err = run(capsys, "analyze", "--file", str(path))
         assert code == EXIT_PARSE
+
+    def test_space_inside_matrix_entry(self, capsys, tmp_path):
+        # whitespace goes only next to brackets and commas: "1 2" is not 12
+        path = tmp_path / "spaced.man"
+        path.write_text(GOOD_FILE.replace("form = H", "form = matrix [[1 2]]"), encoding="ascii")
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "error: expected an integer, got '1 2'\n")
+
+
+def _alone(argv):
+    """(exit code, stdout, stderr) of `python -m fourfold *argv` in a fresh process."""
+    env = dict(os.environ)
+    paths = (os.path.dirname(os.path.dirname(fourfold.__file__)), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourfold", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see an earlier one."""
+
+    def test_calls_print_what_they_print_alone(self, capsys, tmp_path):
+        path = tmp_path / "m.man"
+        path.write_text(GOOD_FILE, encoding="ascii")
+        calls = [
+            ["analyze", "--json", "--file", str(path)],
+            ["analyze", "--file", str(path)],
+            ["enumerate", "--bound", "4", "--file", str(path)],
+            ["enumerate", "--file", str(path), "--frobnicate"],
+            ["analyze", "--json", "--file", str(path)],
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert in_process == [_alone(argv) for argv in calls]
+        assert in_process[3][0] == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_is_the_same_on_a_second_call(self, capsys, argv):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert "usage: fourfold" in helps[0]
 
 
 class TestBoundPrecedence:

@@ -17,6 +17,7 @@ from fourfold.forms import (
 )
 from oracles import (
     E8_ROWS,
+    H_ROWS,
     block_sum,
     cofactor_determinant,
     descartes_signature,
@@ -94,7 +95,9 @@ class TestGrammar:
          pytest.param("diag(1,\u3000-1)", id="ideographic-space"),
          pytest.param("diag(1,\u00a0-1)", id="no-break-space"),
          pytest.param("2\u3000H", id="ideographic-space-hyperbolic"),
-         pytest.param("matrix [[1,\u00a00],[0,1]]", id="no-break-space-matrix")],
+         pytest.param("matrix [[1,\u00a00],[0,1]]", id="no-break-space-matrix"),
+         pytest.param("matrix [[1 2]]", id="space-inside-entry"),
+         pytest.param("matrix [[1,- 1],[-1,1]]", id="space-after-sign")],
     )
     def test_rejects(self, bad):
         with pytest.raises(FormParseError):
@@ -333,6 +336,31 @@ class TestHyperbolicRecognition:
             [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
         )
         assert IntersectionForm(off).hyperbolic_summands is None
+
+    def test_rejects_permuted_and_mixed_sums(self):
+        # 2H in the basis e1, e2, f1, f2: one block of rank 4, not two H blocks
+        permuted = build_form("matrix [[0,0,1,0],[0,0,0,1],[1,0,0,0],[0,1,0,0]]")
+        assert permuted.hyperbolic_summands is None
+        assert permuted.descriptor().startswith("matrix")
+        mixed = IntersectionForm(IntegerMatrix(block_sum(H_ROWS, [[1]])))
+        assert mixed.hyperbolic_summands is None
+        assert mixed.descriptor() == "matrix [[0,1,0],[1,0,0],[0,0,1]]"
+
+
+class TestBlocks:
+    def test_block_sum(self):
+        q = IntersectionForm(IntegerMatrix(block_sum(E8_ROWS, H_ROWS)))
+        assert q.blocks == ((0, 8), (8, 10))
+
+    def test_rank_zero(self):
+        assert IntersectionForm(IntegerMatrix([])).blocks == ()
+
+    def test_diagonal(self):
+        assert build_form("diag(1,-1,2)").blocks == ((0, 1), (1, 2), (2, 3))
+
+    def test_interleaved_components_merge(self):
+        # {0, 2} and {1} are components, but {0, 2} spans index 1
+        assert build_form("matrix [[1,0,1],[0,1,0],[1,0,2]]").blocks == ((0, 3),)
 
 
 class TestIntegerMatrix:

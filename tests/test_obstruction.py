@@ -7,7 +7,7 @@ import pytest
 
 from fourfold import cli, search
 from fourfold.abelian import AbelianGroup, Presentation
-from fourfold.forms import FormError, IntersectionForm, build_form
+from fourfold.forms import FormError, IntegerMatrix, IntersectionForm, build_form
 from fourfold.obstruction import (
     ChernWitness,
     InvariantError,
@@ -26,7 +26,7 @@ from fourfold.obstruction import (
     wu_target,
 )
 from fourfold.obstruction import _hyperbolic_pair_witnesses
-from oracles import box_solutions, box_solvable, quadratic_value
+from oracles import E8_ROWS, H_ROWS, block_sum, box_solutions, box_solvable, quadratic_value
 
 
 def _record(name="X", chi=4, tau=0, form="H", b1=0, h1=None, **kw):
@@ -81,8 +81,16 @@ class TestCharacteristicResidue:
     def test_defining_congruence(self):
         # pairing(c, x) = q(x) mod 2 for every x
         rng = random.Random(5)
-        for spec in ["H", "2H", "diag(1)", "diag(1,-1)", "matrix [[1,1],[1,0]]"]:
-            q = build_form(spec)
+        neg_e8 = [[-x for x in row] for row in E8_ROWS]
+        block_sums = [
+            block_sum(E8_ROWS, H_ROWS),
+            block_sum(neg_e8, neg_e8, H_ROWS, H_ROWS, H_ROWS),
+            block_sum([[1]], [[-1]], H_ROWS),
+            [[1, 0, 1], [0, 1, 0], [1, 0, 2]],  # components {0, 2}, {1}: one block
+        ]
+        specs = ["H", "2H", "diag(1)", "diag(1,-1)", "matrix [[1,1],[1,0]]", "40H"]
+        forms = [build_form(spec) for spec in specs]
+        for q in forms + [IntersectionForm(IntegerMatrix(rows)) for rows in block_sums]:
             c = characteristic_residue(q)
             for _ in range(40):
                 x = [rng.randint(-6, 6) for _ in range(q.rank)]

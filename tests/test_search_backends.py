@@ -31,6 +31,8 @@ def _minimal(hits):
 
 _E8_H = block_sum(E8_ROWS, H_ROWS)
 _NEG_E8 = [[-x for x in row] for row in E8_ROWS]
+# a definite chain block, diagonal 2, 2, 2, 4
+_CHAIN_2224 = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 4]]
 
 
 def _counting_prefixes(monkeypatch) -> list[int]:
@@ -110,19 +112,21 @@ class TestSearchStrategy:
         assert find_minimal_witness(q, (1, 1), 0, 0) is None
 
     def test_shells_are_settled_by_first_hit_boxes(self, monkeypatch):
-        # diag(1), target 16: boxes 0, 1, 2 are empty, box 4 hits (-4,),
-        # then box 3 alone settles shell 3; no other sweep runs
+        # diag(1), target 16: boxes 0, 1, 2 are empty and box 4 hits (-4,);
+        # box 3 then settles shell 3.  A box that holds the same vectors as
+        # one already decided is not walked again: box 1 holds box 0's even
+        # points, and box 3 box 2's
         boxes = []
-        first_hit = _pure.first_hit
+        prefixes = _pure.prefixes
 
-        def recording(qflat, residues, rank, limit, target):
+        def recording(qflat, residues, rank, limit):
             boxes.append(limit)
-            return first_hit(qflat, residues, rank, limit, target)
+            return prefixes(qflat, residues, rank, limit)
 
-        monkeypatch.setattr(_pure, "first_hit", recording)
+        monkeypatch.setattr(_pure, "prefixes", recording)
         q = IntersectionForm.diagonal([1])
         assert find_minimal_witness(q, (0,), 4, 16) == (-4,)
-        assert boxes == [0, 1, 2, 4, 3]
+        assert boxes == [0, 2, 4]
 
     @pytest.mark.parametrize(
         "rows, residues, target, witness, most",
@@ -143,8 +147,12 @@ class TestSearchStrategy:
             # every budgeted sweep exhausts its box, 68 prefixes in all, so
             # no block table is built
             ([[1, 0], [0, -1]], (0, 0), 1, None, 68),
+            # one block: every box is one sweep that is never cut short, so no
+            # table walks it again; diag(1) walks boxes 1, 4 and 8
+            ([[1]], (1,), 25, (-5,), 3),
+            (_CHAIN_2224, (1,) * 4, 40, (-1, -3, -1, -1), 26),
         ],
-        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar", "diag(1,-1)"],
+        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar", "diag(1,-1)", "diag(1)", "chain-2,2,2,4"],
     )
     def test_prefixes_walked_on_block_sums(self, monkeypatch, rows, residues, target, witness, most):
         walked = _counting_prefixes(monkeypatch)
