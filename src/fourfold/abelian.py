@@ -3,18 +3,22 @@
 One elimination routine brings an integer matrix to Smith normal form:
 diagonal entries nonnegative and arranged in a divisibility chain
 d1 | d2 | ... .  It records the unimodular transforms only when asked:
-smith_normal_form returns the full factorization D = U * M * V, while
-abelianize runs without transforms on the relation rows and reads torsion
-and free rank off the diagonal.
+smith_normal_form returns the full factorization D = U * M * V.
+abelianize first clears the unit pivots of the relation rows on sparse
+{column: entry} rows (Havas, Holt and Rees, "Recognizing badly presented
+Z-modules", Linear Algebra Appl. 1993), so a presentation costs about as
+much as its nonzero entries.  It runs the elimination without transforms
+on the rows that remain, and reads torsion and free rank off the diagonal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
-from .forms import _SPACE, IntegerMatrix
+from .forms import _SPACE, IntegerMatrix, _decimal
 
 
 _INT_TYPE = frozenset({int})
@@ -187,8 +191,11 @@ def parse_abelian_group(text: str) -> AbelianGroup:
     match = _GROUP_RE.match(text.strip(_SPACE))
     if not match:
         raise PresentationError(f"cannot parse abelian group {text!r}")
-    rank = int(match.group(1))
-    torsion = tuple(int(t) for t in _TORSION_RE.findall(match.group(2)))
+    rank = _decimal(match.group(1), "h1 rank", PresentationError)
+    torsion = tuple(
+        _decimal(t, "h1 torsion", PresentationError)
+        for t in _TORSION_RE.findall(match.group(2))
+    )
     try:
         return AbelianGroup(rank, torsion)
     except ValueError as exc:
@@ -231,18 +238,80 @@ class Presentation:
             object.__setattr__(self, "generator_names", names)
 
 
+def _unit_pivots(
+    relations: Sequence[Sequence[int]], generators: int
+) -> tuple[list[dict[int, int]], int]:
+    """Clear every unit pivot of the relation rows; return the rows left and the count.
+
+    Rows are kept sparse as {column: entry} dicts, with a column -> rows
+    index.  A row with a +-1 entry at column j is subtracted from every other
+    row that holds j, as many times as clears that row's entry at j; then
+    the pivot row and generator j are dropped.  Each step is elementary row operations followed
+    by the removal of a unit pivot's row and column, so the group presented
+    does not change.  Entries that become +-1 are queued as pivots too.
+    """
+    columns = range(generators)
+    rows: dict[int, dict[int, int]] = {}
+    holders: list[set[int]] = [set() for _ in columns]
+    queue: list[tuple[int, int]] = []
+    for r, rel in enumerate(relations):
+        row = {j: rel[j] for j in compress(columns, rel)}
+        if row:
+            rows[r] = row
+            for j, x in row.items():
+                holders[j].add(r)
+                if x == 1 or x == -1:
+                    queue.append((r, j))
+    units = 0
+    for r, j in queue:  # the loop also takes the pivots appended while it runs
+        row = rows.get(r)
+        if row is None or row.get(j) not in (1, -1):
+            continue  # the row is gone, or its entry at j has changed
+        sign = row[j]
+        for s in holders[j]:
+            if s == r:
+                continue
+            other = rows[s]
+            factor = other[j] * sign  # other[j] - factor * sign == 0
+            for k, x in row.items():
+                y = other.get(k, 0) - factor * x
+                if y:
+                    if k not in other:
+                        holders[k].add(s)
+                    other[k] = y
+                    if y == 1 or y == -1:
+                        queue.append((s, k))
+                else:
+                    del other[k]
+                    if k != j:  # holders[j] is being walked; it is cleared below
+                        holders[k].discard(s)
+            if not other:
+                del rows[s]
+        for k in row:
+            holders[k].discard(r)
+        holders[j].clear()  # every other row now has 0 at j
+        del rows[r]
+        units += 1
+    return list(rows.values()), units
+
+
 def abelianize(p: Presentation) -> AbelianGroup:
     """Abelianization of a presentation, via the Smith normal form.
 
-    The group is Z^generators modulo the row span of the relation matrix; the
-    free rank is generators minus the number of nonzero pivots, and pivots
-    greater than 1 are the torsion coefficients.
+    The group is Z^generators modulo the row span of the relation matrix.
+    Unit pivots are cleared first on the sparse rows (_unit_pivots); the
+    rows that remain go to _eliminate as a dense matrix over the columns
+    they still hold.  The free rank is generators minus the unit pivots and
+    the nonzero pivots of the remainder, and the remainder's pivots greater
+    than 1 are the torsion coefficients.
     """
-    a = [list(r) for r in p.relations]
+    rows, units = _unit_pivots(p.relations, p.generators)
+    columns = sorted({k for row in rows for k in row})
+    a = [[row.get(k, 0) for k in columns] for row in rows]
     _eliminate(a)
-    nonzero = [a[i][i] for i in range(min(len(a), p.generators)) if a[i][i]]
+    nonzero = [a[i][i] for i in range(min(len(a), len(columns))) if a[i][i]]
     torsion = tuple(x for x in nonzero if x > 1)
-    return AbelianGroup(p.generators - len(nonzero), torsion)
+    return AbelianGroup(p.generators - units - len(nonzero), torsion)
 
 
 _WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")

@@ -30,7 +30,7 @@ from typing import Sequence
 from .abelian import Presentation, PresentationError, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import _INT_RE, _SPACE, FormError, build_form
+from .forms import _INT_RE, _SPACE, FormError, _decimal, build_form
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -78,7 +78,8 @@ def _ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers under the form grammar's rule; ValueError otherwise."""
     if not _INTS_CHARS_RE.fullmatch(text):
         raise ValueError(text)
-    return tuple(map(int, text.split(",")))
+    # relation rows are mostly zeros; int("0") is 0, at a fraction of the cost
+    return tuple([0 if p == "0" else int(p) for p in text.split(",")])
 
 
 def parse_manifold_file(text: str) -> ManifoldInvariants:
@@ -103,8 +104,14 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         value = value.strip(_SPACE)
         if key == "rel":
             try:
-                relations.append(_ints(value))
+                # an empty value is the one relation over no generators
+                relations.append(_ints(value) if value else ())
             except ValueError:
+                # a piece that the grammar takes and int() refuses is too long
+                for piece in value.split(","):
+                    piece = piece.strip(_SPACE)
+                    if _INT_RE.fullmatch(piece):
+                        _decimal(piece, f"line {lineno}: relation entry", ManifoldFileError)
                 raise ManifoldFileError(f"line {lineno}: bad relation") from None
             continue
         if key in values:
@@ -121,7 +128,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     def as_int(key: str) -> int:
         if not _INT_RE.fullmatch(values[key]):
             raise ManifoldFileError(f"{key} must be an integer, got {values[key]!r}")
-        return int(values[key])
+        return _decimal(values[key], key, ManifoldFileError)
 
     form = build_form(values["form"])
     h1 = parse_abelian_group(values["h1"])
@@ -203,7 +210,7 @@ def _resolve_bound(args) -> int:
             return DEFAULT_BOUND
     if not _INT_RE.fullmatch(text):
         raise _UsageError(f"{source} must be an integer, got {text!r}")
-    bound = int(text)
+    bound = _decimal(text, source, _UsageError)
     if bound < 0:
         raise _UsageError(f"{source} must be nonnegative, got {bound}")
     return bound

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
@@ -389,11 +390,28 @@ _DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL | re.ASCII)
 _MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL | re.ASCII)
 
 
-def _parse_int(text: str) -> int:
+def _decimal(text: str, field: str, error: type[Exception]) -> int:
+    """int(text) for a text that _INT_RE takes; error, naming field, if it is too long.
+
+    int() refuses more than sys.get_int_max_str_digits() digits.  That limit
+    is process-wide state, so the readers report the refusal as their own
+    parse error rather than raise it.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise error(
+            f"{field} is too long: {digits} digits, "
+            f"at most {sys.get_int_max_str_digits()} are read"
+        ) from None
+
+
+def _parse_int(text: str, field: str) -> int:
     text = text.strip(_SPACE)
     if not _INT_RE.fullmatch(text):
         raise FormParseError(f"expected an integer, got {text!r}")
-    return int(text)
+    return _decimal(text, field, FormParseError)
 
 
 def _parse_matrix_literal(text: str) -> list[list[int]]:
@@ -409,7 +427,7 @@ def _parse_matrix_literal(text: str) -> list[list[int]]:
     for chunk in body.split("],["):
         if not chunk:
             raise FormParseError("matrix rows must be nonempty")
-        rows.append([_parse_int(piece) for piece in chunk.split(",")])
+        rows.append([_parse_int(piece, "matrix entry") for piece in chunk.split(",")])
     return rows
 
 
@@ -428,7 +446,7 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _HYPERBOLIC_RE.match(text)
     if match:
-        k = int(match.group(1)) if match.group(1) is not None else 1
+        k = 1 if match.group(1) is None else _decimal(match.group(1), "kH count", FormParseError)
         if k < 1:
             raise FormParseError(f"hyperbolic sum needs k >= 1, got {k}")
         return IntersectionForm.hyperbolic(k)
@@ -438,7 +456,7 @@ def build_form(spec: str) -> IntersectionForm:
         inner = match.group(1).strip(_SPACE)
         if not inner:
             raise FormParseError("diag(...) needs at least one entry")
-        entries = [_parse_int(piece) for piece in inner.split(",")]
+        entries = [_parse_int(piece, "diag entry") for piece in inner.split(",")]
         return IntersectionForm.diagonal(entries)
 
     match = _MATRIX_RE.match(text)

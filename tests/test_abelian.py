@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fourfold import abelian
 from fourfold.abelian import (
     AbelianGroup,
     Presentation,
@@ -15,6 +16,7 @@ from fourfold.abelian import (
     parse_word,
     smith_normal_form,
 )
+from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix
 from oracles import determinantal_divisors, matmul
 
@@ -28,6 +30,15 @@ def integer_matrices(draw, max_n=5, magnitude=20):
         for _ in range(rows)
     ]
     return IntegerMatrix(data)
+
+
+@st.composite
+def sparse_unit_matrices(draw, max_n=6):
+    """Mostly zeros and units, so the unit-pivot pass fills in, cancels rows and leaves some."""
+    rows = draw(st.integers(min_value=1, max_value=max_n))
+    cols = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
+    return IntegerMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
 
 
 def _product(*factors):
@@ -111,6 +122,12 @@ def _smith_diagonal(rows):
     return out
 
 
+def _group(m):
+    """The group the rows of m present, from the determinantal divisors alone."""
+    nonzero = [x for x in _smith_diagonal(m.to_lists()) if x]
+    return AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
 class TestAgainstDeterminantalDivisors:
     @given(integer_matrices(max_n=5, magnitude=6))
     @settings(max_examples=200, derandomize=True)
@@ -124,9 +141,17 @@ class TestAgainstDeterminantalDivisors:
         expected = _smith_diagonal(rows)
         d, _, _ = smith_normal_form(m)
         assert _diagonal_pivots(d) == expected
-        nonzero = [x for x in expected if x]
-        group = AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
-        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == group
+        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == _group(m)
+
+    @given(sparse_unit_matrices())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @example(IntegerMatrix([[1, 1, 0], [1, 0, 1]]))  # fill-in at column 1
+    @example(IntegerMatrix([[1, 2], [-1, -2], [0, 4]]))  # the second row cancels
+    @example(IntegerMatrix([[1, 2, 0], [2, 0, 4], [0, 4, -6]]))  # a 2 x 2 remainder
+    @example(IntegerMatrix([[2, 0], [0, 3]]))  # no unit: the whole matrix remains
+    @example(IntegerMatrix([[0, 0, 0]]))  # no nonzero entry: every generator is free
+    def test_unit_pivot_pass(self, m):
+        assert abelianize(Presentation(m.cols, tuple(map(tuple, m.to_lists())))) == _group(m)
 
 
 class TestAbelianGroup:
@@ -224,6 +249,29 @@ class TestAbelianize:
         p1 = Presentation(2, ((1, 2),))
         p2 = Presentation(2, ((1, 2), (2, 4), (-1, -2)))
         assert abelianize(p1) == abelianize(p2)
+
+
+class TestUnitPivotPass:
+    """abelianize clears unit pivots on sparse rows before the Smith core."""
+
+    def _remainders(self, monkeypatch, p):
+        seen = []
+        core = abelian._eliminate
+
+        def recording(a, *transforms):
+            seen.append([list(row) for row in a])
+            return core(a, *transforms)
+
+        monkeypatch.setattr(abelian, "_eliminate", recording)
+        return abelianize(p), seen
+
+    def test_family_presentation_leaves_no_remainder(self, monkeypatch):
+        p = family_invariants(FamilyId("M4", n=80)).presentation
+        assert self._remainders(monkeypatch, p) == (AbelianGroup(161), [[]])
+
+    def test_no_unit_leaves_the_whole_matrix(self, monkeypatch):
+        p = Presentation(2, ((2, 0), (0, 3)))
+        assert self._remainders(monkeypatch, p) == (AbelianGroup(0, (6,)), [[[2, 0], [0, 3]]])
 
 
 class TestWords:

@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, precedence, and deterministic output."""
 
+import dataclasses
 import io
 import json
 import os
@@ -11,17 +12,19 @@ from functools import cached_property
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourfold
 from fourfold import obstruction
+from fourfold.abelian import Presentation
 from fourfold.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
     ManifoldFileError,
     _emit_enumeration_json,
+    _ints,
     format_manifold_file,
     main,
     parse_manifold_file,
@@ -74,9 +77,15 @@ class TestManifoldFiles:
             FamilyId("M2", g=1, n=3),
             FamilyId("M3", g=2, n=1),
             FamilyId("M4", n=2),
+            FamilyId("M4", n=80),
         ]:
             m = family_invariants(fid)
             assert parse_manifold_file(format_manifold_file(m)) == m
+        # no generators: the one relation is written as an empty "rel = "
+        m = parse_manifold_file(GOOD_FILE)
+        m = dataclasses.replace(m, presentation=Presentation(0, ((),)))
+        assert "\nrel = \n" in format_manifold_file(m)
+        assert parse_manifold_file(format_manifold_file(m)) == m
 
     def test_w2_explicit_bits(self):
         text = GOOD_FILE.replace("w2 = 0", "w2 = 0,0")
@@ -119,6 +128,7 @@ class TestManifoldFiles:
             lambda t: t + "rel = 1,x\n",                        # bad relation
             lambda t: t + "rel = 1,2\n",                        # rel without gens
             lambda t: t.replace("w2 = 0", "w2 = a,b"),          # bad w2
+            lambda t: t.replace("w2 = 0", "w2 = "),             # empty w2
             lambda t: t.replace("chi = -4", "chi = minus4"),    # non-integer
             lambda t: t + "just words\n",                       # no equals sign
         ],
@@ -126,6 +136,38 @@ class TestManifoldFiles:
     def test_rejects(self, mangle):
         with pytest.raises(ManifoldFileError):
             parse_manifold_file(mangle(GOOD_FILE))
+
+
+def _int_split(text):
+    """The relation grammar as plainly as it can be said: a charset, then int() per piece."""
+    if not re.fullmatch(r"[0-9+\-,\s]*", text, re.ASCII):
+        raise ValueError(text)
+    return tuple(int(p) for p in text.split(","))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+class TestRelationGrammar:
+    @given(st.text(alphabet="0120-+, \t", max_size=12))
+    @settings(max_examples=500, derandomize=True)
+    @example("")
+    @example(",")
+    @example("1,")
+    @example("1 2")
+    @example("--1")
+    @example("+")
+    @example("00,-00,+0")
+    @example(" 0 , 1 ")
+    @example("\t7\n,\v-3 ")
+    @example("1_0")
+    @example("\u0663")  # ARABIC-INDIC DIGIT THREE: int() takes it, the charset does not
+    def test_ints_is_int_per_piece(self, text):
+        assert _outcome(_ints, text) == _outcome(_int_split, text)
 
 
 class TestAnalyze:
@@ -459,6 +501,49 @@ class TestExitCodesAndErrors:
         path.write_text(GOOD_FILE.replace("form = H", "form = matrix [[1 2]]"), encoding="ascii")
         code, out, err = run(capsys, "analyze", "--file", str(path))
         assert (code, out, err) == (EXIT_PARSE, "", "error: expected an integer, got '1 2'\n")
+
+
+_LONG = "1" * 5001  # more digits than int() reads by default (4300)
+
+
+class TestIntegerDigitLimit:
+    """An integer too long for int() is its reader's parse error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "old, new, argv, env, field",
+        [
+            ("chi = -4", f"chi = {_LONG}", (), None, "chi"),
+            ("tau = 0", f"tau = -{_LONG}", (), None, "tau"),
+            ("b1 = 4", f"b1 = {_LONG}", (), None, "b1"),
+            ("w2 = 0", f"w2 = 0\ngens = +{_LONG}", (), None, "gens"),
+            ("w2 = 0", f"w2 = 0\ngens = 2\nrel = 1, {_LONG}", (), None, "line 10: relation entry"),
+            ("form = H", f"form = diag(1,{_LONG})", (), None, "diag entry"),
+            ("form = H", f"form = matrix [[0,{_LONG}],[{_LONG},0]]", (), None, "matrix entry"),
+            ("form = H", f"form = {_LONG}H", (), None, "kH count"),
+            ("h1 = Z^4", f"h1 = Z^{_LONG}", (), None, "h1 rank"),
+            ("h1 = Z^4", f"h1 = Z^4 + Z/{_LONG}", (), None, "h1 torsion"),
+            (None, None, ("--bound", _LONG), None, "--bound"),
+            (None, None, (), _LONG, "FOURFOLD_BOUND"),
+            (None, None, ("--family", f"M4 n={_LONG}"), None, "parameter n"),
+        ],
+        ids=[
+            "chi", "tau", "b1", "gens", "rel", "diag", "matrix", "kH", "h1-rank", "h1-torsion",
+            "bound-flag", "bound-env", "family",
+        ],
+    )
+    def test_names_the_field(self, capsys, tmp_path, monkeypatch, old, new, argv, env, field):
+        monkeypatch.delenv("FOURFOLD_BOUND", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FOURFOLD_BOUND", env)
+        if "--family" not in argv:
+            path = tmp_path / "long.man"
+            text = GOOD_FILE if old is None else GOOD_FILE.replace(old, new)
+            path.write_text(text, encoding="ascii")
+            argv = ("--file", str(path), *argv)
+        code, out, err = run(capsys, "analyze", *argv)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {field} is too long: 5001 digits, at most {limit} are read\n"
 
 
 def _alone(argv):
