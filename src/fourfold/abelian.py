@@ -2,8 +2,11 @@
 
 One elimination routine brings an integer matrix to Smith normal form:
 diagonal entries nonnegative and arranged in a divisibility chain
-d1 | d2 | ... .  It records the unimodular transforms only when asked:
-smith_normal_form returns the full factorization D = U * M * V.
+d1 | d2 | ... .  It is one loop per pivot position that pivots on a
+smallest nonzero entry, finishes each reduction of the pivot's column and
+row, and picks again whenever a remainder is left, so coefficients stay
+small on dense matrices.  It records the unimodular transforms only when
+asked: smith_normal_form returns the full factorization D = U * M * V.
 abelianize first clears the unit pivots of the relation rows on sparse
 {column: entry} rows (Havas, Holt and Rees, "Recognizing badly presented
 Z-modules", Linear Algebra Appl. 1993), so a presentation costs about as
@@ -55,81 +58,69 @@ def _eliminate(
     """Bring the rows a to Smith normal form in place.
 
     Optional identity matrices u and v take every row and column operation
-    too, so that afterwards a = u * a_before * v.  Pivots are a smallest
-    nonzero entry of the active block, which keeps intermediate entries
-    small.
+    too, so that afterwards a = u * a_before * v.  One loop per pivot
+    position t: a smallest nonzero entry of the active block is moved to
+    (t, t) and made positive; the whole column below it is reduced, then
+    row t, each entry by its nearest multiple of the pivot.  Whenever a
+    reduction leaves a remainder, which is at most half the pivot, the
+    smallest entry is picked again, so intermediate entries stay small.
+    A pivot 1 divides everything; any other pivot must divide the rest of
+    the block, and else the first row it does not divide is added to row t
+    and the pick starts again.  The pivot never grows and shrinks at least
+    every second pick, so the loop ends.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
-    left = [a] if u is None else [a, u]  # matrices that take row operations
-    right = [a] if v is None else [a, v]  # matrices that take column operations
-
-    def swap_rows(i, j):
-        for m in left:
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for m in right:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        # row_dst += factor * row_src
-        for m in left:
-            m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-
-    t = 0
-    while t < min(rows, cols):
-        pick = _pivot(a, t)
-        if pick is None:
-            break
-        swap_rows(t, pick[0])
-        swap_cols(t, pick[1])
-        if a[t][t] < 0:
-            for m in left:
-                m[t] = [-x for x in m[t]]
-
+    left = (a,) if u is None else (a, u)  # matrices that take row operations
+    right = (a,) if v is None else (a, v)  # matrices that take column operations
+    for t in range(min(rows, cols)):
         while True:
+            pick = _pivot(a, t)
+            if pick is None:
+                return
+            r, c = pick
+            for m in left:
+                m[t], m[r] = m[r], m[t]
+            for m in right:
+                for row in m:
+                    row[t], row[c] = row[c], row[t]
+            if a[t][t] < 0:
+                for m in left:
+                    m[t] = [-x for x in m[t]]
             pivot = a[t][t]
-            # clear the pivot column; a nonzero remainder is smaller than the
-            # pivot, so it is promoted to pivot and the clearing restarts
-            restart = False
+            half = pivot // 2
+            left_over = False
             for i in range(t + 1, rows):
+                f = (a[i][t] + half) // pivot
+                if f:
+                    for m in left:
+                        m[i] = [x - f * y for x, y in zip(m[i], m[t])]
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // pivot))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
+                    left_over = True
+            if left_over:
                 continue
-            # clear the pivot row; the pivot column is zero off the pivot
-            # now, so a column operation changes only row t of a
+            # the column is clear below the pivot, so a column operation
+            # changes only row t of a
             top = a[t]
             for j in range(t + 1, cols):
-                if top[j]:
-                    q = top[j] // pivot
-                    top[j] -= q * pivot
+                f = (top[j] + half) // pivot
+                if f:
+                    top[j] -= f * pivot
                     if v is not None:
                         for row in v:
-                            row[j] -= q * row[t]
-                    if top[j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
+                            row[j] -= f * row[t]
+            if any(top[t + 1 :]):
                 continue
             if pivot == 1:
                 break
-            # enforce divisibility: the pivot must divide the remaining block
             offender = next(
                 (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])),
                 None,
             )
             if offender is None:
                 break
-            add_row(t, offender, 1)
-        t += 1
+            for m in left:
+                m[t] = [x + y for x, y in zip(m[t], m[offender])]
 
 
 def smith_normal_form(

@@ -10,7 +10,8 @@ Subcommands:
 
 Manifolds come either from --family "M1 g=2" style specs or from --file in a
 line-oriented key = value format (see parse_manifold_file).  Exit codes:
-1 for parse errors, 2 for invariant validation failures, 0 otherwise.  The
+1 for parse errors and for derived integers too long to write, 2 for
+invariant validation failures, 0 otherwise.  The
 default search bound is 32; the FOURFOLD_BOUND environment variable
 overrides it and the --bound flag wins over both.  All output is
 deterministic: two runs on the same input are byte-identical.
@@ -463,6 +464,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as exc:
+        # str() refuses an int of more than sys.get_int_max_str_digits()
+        # digits, and a value derived from a readable record can have more
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(
+            f"error: a derived integer has more than {limit} digits, "
+            f"at most {limit} are written",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

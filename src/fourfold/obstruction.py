@@ -10,9 +10,11 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
   tier 0   mod-8 filter: on a unimodular form, any class congruent to the
            characteristic residue has square congruent to the signature
            mod 8, so a mismatched target settles NotExists outright.
-  tier 1   literal hyperbolic sums kH with w2 = 0: solutions are even
-           vectors, squares are multiples of 8, and (target/4, 2, 0, ..., 0)
-           is an explicit witness whenever target = 0 mod 8.
+  tier 1   literal hyperbolic sums kH: the form is even and unimodular,
+           so w2 = 0 and tier 0 has settled every target not divisible by
+           8; (target/4, 2, 0, ..., 0) is an explicit witness for the rest.
+           It is not always the lex-smallest witness of minimal max-norm
+           that tier 3 would find.
   tier 2   rank-2 H with w2 = 0 and a nonzero target: divisor enumeration
            of 2ab = target is complete.  Only enumerate_chern_classes runs
            it; decide_wu_existence never does, because H has residue 0 and
@@ -279,15 +281,11 @@ def decide_wu_existence(
                 f"signature {form.signature} mod 8"
             )
 
-    k = form.hyperbolic_summands
-    if k is not None and not any(residue):
-        # tier 1: even vectors h = 2x have q(h) = 8 * sum(x_odd * x_even)
-        if target % 8 == 0:
-            coeffs = (target // 4, 2) + (0,) * (form.rank - 2)
-            return StructureVerdict.exists(ChernWitness.on_form(form, coeffs))
-        return StructureVerdict.not_exists(
-            "hyperbolic sums admit only squares divisible by 8 on even classes"
-        )
+    if form.hyperbolic_summands is not None:
+        # tier 1: kH is unimodular with residue 0, so tier 0 has left only
+        # targets divisible by 8, and q(target/4, 2, 0, ...) = target
+        coeffs = (target // 4, 2) + (0,) * (form.rank - 2)
+        return StructureVerdict.exists(ChernWitness.on_form(form, coeffs))
 
     hit = search.find_minimal_witness(form, residue, bound, target)
     if hit is not None:

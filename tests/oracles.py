@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 Nothing in here calls the decision engines under test: determinants come
-from cofactor expansion, Smith diagonals from the gcds of minors
+from cofactor expansion (of large matrices, from Gaussian elimination over
+the rationals), Smith diagonals from the gcds of minors
 (determinantal divisors), signatures from Descartes' rule of signs on the
 integer characteristic polynomial, solvability over a box comes from an
 exact per-block value-set convolution, and the raw sweep oracles walk the
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +42,26 @@ def cofactor_determinant(rows: Sequence[Sequence[int]]) -> int:
         sign = -1 if j % 2 else 1
         total += sign * head * cofactor_determinant(minor)
     return total
+
+
+def rational_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant by Gaussian elimination over Fraction, for matrices too large to expand."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for t in range(n):
+        pick = next((i for i in range(t, n) if a[i][t]), None)
+        if pick is None:
+            return 0
+        if pick != t:
+            a[t], a[pick] = a[pick], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return int(det)
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -18,7 +18,7 @@ from fourfold.abelian import (
 )
 from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix
-from oracles import determinantal_divisors, matmul
+from oracles import determinantal_divisors, matmul, rational_determinant
 
 
 @st.composite
@@ -152,6 +152,52 @@ class TestAgainstDeterminantalDivisors:
     @example(IntegerMatrix([[0, 0, 0]]))  # no nonzero entry: every generator is free
     def test_unit_pivot_pass(self, m):
         assert abelianize(Presentation(m.cols, tuple(map(tuple, m.to_lists())))) == _group(m)
+
+
+def _random_rows(seed, rows, cols, magnitude):
+    rng = random.Random(seed)
+    return [[rng.randint(-magnitude, magnitude) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse_rows():
+    """40 x 40 with about 10% nonzero entries in [-5, 5]: few units, much fill-in."""
+    rng = random.Random(6)
+    return [[rng.randint(-5, 5) if rng.random() < 0.1 else 0 for _ in range(40)] for _ in range(40)]
+
+
+class TestLargeMatrices:
+    """Matrices on which swap-and-restart elimination blew up its coefficients.
+
+    D = U M V with U and V unimodular, and D diagonal, nonnegative and a
+    divisibility chain, make D the Smith normal form of M whatever the
+    elimination did on the way.
+    """
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            _random_rows(45, 45, 45, 3),
+            _sparse_rows(),
+            _random_rows(30, 30, 60, 10),
+            _random_rows(60, 60, 30, 10),
+        ],
+        ids=["dense-45x45", "sparse-40x40", "30x60", "60x30"],
+    )
+    def test_certified_smith_form(self, rows):
+        m = IntegerMatrix(rows)
+        d, u, v = smith_normal_form(m)
+        assert _product(u, m, v) == d.to_lists()
+        assert abs(rational_determinant(u.to_lists())) == 1
+        assert abs(rational_determinant(v.to_lists())) == 1
+        diagonal = _diagonal_pivots(d)
+        assert all(
+            x == 0 for i, row in enumerate(d.to_lists()) for j, x in enumerate(row) if i != j
+        )
+        assert all(x >= 0 for x in diagonal)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(diagonal, diagonal[1:]))
+        nonzero = [x for x in diagonal if x]
+        group = AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == group
 
 
 class TestAbelianGroup:

@@ -322,3 +322,20 @@ def test_criterion_11_cli_determinism(tmp_path):
         ok = False
         detail = f"exit codes {codes} != {expected_codes}"
     _report(11, ok, detail)
+
+
+def test_sparse_relations_validate_in_time(tmp_path):
+    # 40 relation rows about 10% nonzero in [-5, 5]: the unit pivots run out
+    # early and leave a remainder whose elimination must not blow up
+    rng = random.Random(6)
+    rows = [[rng.randint(-5, 5) if rng.random() < 0.1 else 0 for _ in range(40)] for _ in range(40)]
+    path = tmp_path / "relations.man"
+    path.write_text(
+        "name = relations\nchi = 2\ntau = 0\nform = H\nb1 = 1\n"
+        "h1 = Z^1 + Z/4 + Z/4 + Z/8 + Z/8 + Z/40 + Z/200\ngens = 40\n"
+        + "".join(f"rel = {','.join(map(str, row))}\n" for row in rows),
+        encoding="ascii",
+    )
+    proc = _run_cli(["validate", "--file", str(path)], timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1].split() == [b"status", b"ok"]

@@ -545,6 +545,31 @@ class TestIntegerDigitLimit:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"error: {field} is too long: 5001 digits, at most {limit} are read\n"
 
+    @pytest.mark.parametrize(
+        "command, b1, chi",
+        [
+            # c1^2 = 2 chi = 8 - 4 b1 has 4,301 digits
+            ("analyze", "5" + "0" * 4299, "-" + "9" * 4299 + "6"),
+            # the Euler characteristic violation states 2 - 2 b1 + b2
+            ("validate", "9" + "0" * 4299, "0"),
+        ],
+        ids=["analyze", "validate"],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_derived_value_past_the_limit(self, capsys, tmp_path, command, b1, chi, json_flag):
+        path = tmp_path / "big.man"
+        path.write_text(
+            f"name = big\nchi = {chi}\ntau = 0\nform = H\nb1 = {b1}\nh1 = Z^{b1}\n",
+            encoding="ascii",
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, command, "--file", str(path), *json_flag)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            f"error: a derived integer has more than {limit} digits, at most {limit} are written\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
 
 def _alone(argv):
     """(exit code, stdout, stderr) of `python -m fourfold *argv` in a fresh process."""

@@ -163,6 +163,24 @@ class TestDecideWuExistence:
         assert v.witness.coefficients == (4, 2, 0, 0)
         assert v.witness.square == 16
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_hyperbolic_sums_split_on_eight(self, k):
+        # kH is even and unimodular: the mod-8 filter settles every target
+        # that 8 does not divide, and tier 1's witness every other one
+        form = build_form(f"{k}H")
+        for target in range(-64, 65):
+            v = decide_wu_existence(form, (0,) * (2 * k), target)
+            if target % 8:
+                assert v.status is VerdictStatus.NOT_EXISTS
+                assert v.reasons == (
+                    f"mod-8 obstruction: target {target} is not congruent to "
+                    "signature 0 mod 8",
+                )
+            else:
+                assert v.status is VerdictStatus.EXISTS
+                assert v.witness.coefficients == (target // 4, 2) + (0,) * (2 * k - 2)
+                assert v.witness.square == target
+
     def test_box_search_finds_odd_witness(self):
         v = decide_wu_existence(build_form("diag(1)"), (1,), 9)
         assert v.status is VerdictStatus.EXISTS
