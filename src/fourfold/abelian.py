@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Sequence
 
-from .forms import _SPACE, IntegerMatrix, _decimal
+from .forms import _SPACE, IntegerMatrix, read_int
 
 
 _INT_TYPE = frozenset({int})
@@ -182,9 +182,9 @@ def parse_abelian_group(text: str) -> AbelianGroup:
     match = _GROUP_RE.match(text.strip(_SPACE))
     if not match:
         raise PresentationError(f"cannot parse abelian group {text!r}")
-    rank = _decimal(match.group(1), "h1 rank", PresentationError)
+    rank = read_int(match.group(1), "h1 rank", PresentationError)
     torsion = tuple(
-        _decimal(t, "h1 torsion", PresentationError)
+        read_int(t, "h1 torsion", PresentationError)
         for t in _TORSION_RE.findall(match.group(2))
     )
     try:
@@ -325,6 +325,7 @@ def parse_word(names: Sequence[str], text: str) -> tuple[int, ...]:
         name, exponent = match.group(1), match.group(2)
         if name not in index:
             raise PresentationError(f"unknown generator {name!r}")
-        out[index[name]] += int(exponent) if exponent is not None else 1
+        step = 1 if exponent is None else read_int(exponent, "word exponent", PresentationError)
+        out[index[name]] += step
     return tuple(out)
 

@@ -125,11 +125,10 @@ class SurfaceModel:
 
 @dataclass(frozen=True)
 class ModelMatch:
-    """One surviving model, the invariants it matched on, and whether a
-    fundamental-group comparison is the remaining discriminator."""
+    """One surviving model, and whether a fundamental-group comparison is
+    the remaining discriminator."""
 
     model: SurfaceModel
-    matched_on: tuple[str, ...]
     requires_pi1_check: bool
 
 
@@ -144,15 +143,15 @@ def rational_ruled_models(
     form, while S2 x S2 and minimal ruled models have the even form H.
     """
     return [
-        ModelMatch(model, ("b1", "chi", "tau", "parity"), requires_pi1_check=True)
-        for model, _ in _ek_rows(b1, wu_target(chi, tau), chi)
+        ModelMatch(model, requires_pi1_check=True)
+        for model in _ek_rows(b1, wu_target(chi, tau), chi)
         if model.kind in _RATIONAL_OR_RULED
         and form_even == (model.kind is not SurfaceKind.RATIONAL_CP2 and model.blowups == 0)
     ]
 
 
 def _ek_rows(b1: int, c1sq: int, c2: int):
-    """Candidate (model, k) pairs for each class of the minimal-surface table.
+    """Candidate models, with k blow-ups, for each class of the minimal-surface table.
 
     Each class constrains (b1, c1sq_min, c2_min); blow-up accounting sets
     c1sq_min = c1sq + k and c2_min = c2 - k with k >= 0, which pins k
@@ -163,24 +162,20 @@ def _ek_rows(b1: int, c1sq: int, c2: int):
     if b1 == 0:
         k = 9 - c1sq
         if k >= 0 and c2 - k == 3:
-            yield SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=k), ("b1", "c1sq", "c2")
+            yield SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=k)
         if c1sq == 8 and c2 == 4:
-            yield SurfaceModel(SurfaceKind.RATIONAL_S2XS2), ("b1", "c1sq", "c2")
+            yield SurfaceModel(SurfaceKind.RATIONAL_S2XS2)
     # (2) class VII: b1 = 1, c1sq_min <= 0, c2_min >= 0; k = 0 is admissible
     # whenever any k is
     if b1 == 1 and c1sq <= 0 and c2 >= 0:
-        yield SurfaceModel(SurfaceKind.CLASS_VII), ("b1", "c1sq", "c2")
+        yield SurfaceModel(SurfaceKind.CLASS_VII)
     # (3) ruled genus g >= 1: b1 = 2g, c1sq_min = 8(1-g), c2_min = 4(1-g);
     # genus 0 is the rational row above, not a separate match
     if b1 % 2 == 0 and b1 >= 2:
         genus = b1 // 2
         k = 8 * (1 - genus) - c1sq
         if k >= 0 and c2 - k == 4 * (1 - genus):
-            yield SurfaceModel(SurfaceKind.RULED, genus=genus, blowups=k), (
-                "b1",
-                "c1sq",
-                "c2",
-            )
+            yield SurfaceModel(SurfaceKind.RULED, genus=genus, blowups=k)
     # (4)-(8): classes with (c1sq_min, c2_min) fixed outright
     fixed = (
         (SurfaceKind.ENRIQUES, (0,), 12),
@@ -192,16 +187,16 @@ def _ek_rows(b1: int, c1sq: int, c2: int):
     for kind, b1_values, c2_min in fixed:
         k = -c1sq
         if b1 in b1_values and k >= 0 and c2 - k == c2_min:
-            yield SurfaceModel(kind, blowups=k), ("b1", "c1sq", "c2")
+            yield SurfaceModel(kind, blowups=k)
     # (9) properly elliptic: c1sq_min = 0, c2_min >= 0, no b1 constraint
     k = -c1sq
     if k >= 0 and c2 - k >= 0:
-        yield SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC, blowups=k), ("c1sq", "c2")
+        yield SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC, blowups=k)
     # (10) general type: b1 even, c1sq_min > 0, c2_min > 0
     if b1 % 2 == 0:
         k = max(0, 1 - c1sq)
         if c2 - k > 0:
-            yield SurfaceModel(SurfaceKind.GENERAL_TYPE, blowups=k), ("b1", "c1sq", "c2")
+            yield SurfaceModel(SurfaceKind.GENERAL_TYPE, blowups=k)
 
 
 def ek_filter(b1: int, c1sq: int, c2: int) -> list[ModelMatch]:
@@ -212,8 +207,8 @@ def ek_filter(b1: int, c1sq: int, c2: int) -> list[ModelMatch]:
     structure; survivors are candidates, not confirmations.
     """
     return [
-        ModelMatch(model, matched, requires_pi1_check=model.kind in _RATIONAL_OR_RULED)
-        for model, matched in _ek_rows(b1, c1sq, c2)
+        ModelMatch(model, requires_pi1_check=model.kind in _RATIONAL_OR_RULED)
+        for model in _ek_rows(b1, c1sq, c2)
     ]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache
 from itertools import chain
@@ -31,7 +30,7 @@ from typing import Sequence
 from .abelian import Presentation, PresentationError, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import _INT_RE, _SPACE, FormError, _decimal, build_form
+from .forms import _SPACE, FormError, build_form, read_int, read_ints
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -68,20 +67,6 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("name", "chi", "tau", "form", "b1", "h1")
 
-# digits, signs, commas and ASCII whitespace; int() rejects every other
-# misuse of them (an empty or blank piece, a sign alone or twice, a space
-# inside a number), so the two together take exactly the form grammar's
-# integers, comma-separated, each with optional whitespace around it
-_INTS_CHARS_RE = re.compile(r"[0-9+\-,\s]*", re.ASCII)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    """Comma-separated integers under the form grammar's rule; ValueError otherwise."""
-    if not _INTS_CHARS_RE.fullmatch(text):
-        raise ValueError(text)
-    # relation rows are mostly zeros; int("0") is 0, at a fraction of the cost
-    return tuple([0 if p == "0" else int(p) for p in text.split(",")])
-
 
 def parse_manifold_file(text: str) -> ManifoldInvariants:
     """Parse the line-oriented manifold format.
@@ -104,16 +89,9 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         key = key.strip(_SPACE)
         value = value.strip(_SPACE)
         if key == "rel":
-            try:
-                # an empty value is the one relation over no generators
-                relations.append(_ints(value) if value else ())
-            except ValueError:
-                # a piece that the grammar takes and int() refuses is too long
-                for piece in value.split(","):
-                    piece = piece.strip(_SPACE)
-                    if _INT_RE.fullmatch(piece):
-                        _decimal(piece, f"line {lineno}: relation entry", ManifoldFileError)
-                raise ManifoldFileError(f"line {lineno}: bad relation") from None
+            # an empty value is the one relation over no generators
+            field = f"line {lineno}: relation entry"
+            relations.append(read_ints(value, field, ManifoldFileError) if value else ())
             continue
         if key in values:
             raise ManifoldFileError(f"line {lineno}: duplicate key {key!r}")
@@ -127,22 +105,16 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         raise ManifoldFileError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     def as_int(key: str) -> int:
-        if not _INT_RE.fullmatch(values[key]):
-            raise ManifoldFileError(f"{key} must be an integer, got {values[key]!r}")
-        return _decimal(values[key], key, ManifoldFileError)
+        return read_int(values[key], key, ManifoldFileError)
 
     form = build_form(values["form"])
     h1 = parse_abelian_group(values["h1"])
 
     w2 = None
-    if "w2" in values:
-        if values["w2"] == "0":
-            w2 = (0,) * form.rank
-        else:
-            try:
-                w2 = _ints(values["w2"])
-            except ValueError:
-                raise ManifoldFileError("w2 must be comma-separated bits or 0") from None
+    if values.get("w2") == "0":
+        w2 = (0,) * form.rank
+    elif "w2" in values:
+        w2 = read_ints(values["w2"], "w2 entry", ManifoldFileError)
 
     presentation = None
     if "gens" in values or relations:
@@ -209,9 +181,7 @@ def _resolve_bound(args) -> int:
         text, source = os.environ.get("FOURFOLD_BOUND"), "FOURFOLD_BOUND"
         if text is None:
             return DEFAULT_BOUND
-    if not _INT_RE.fullmatch(text):
-        raise _UsageError(f"{source} must be an integer, got {text!r}")
-    bound = _decimal(text, source, _UsageError)
+    bound = read_int(text, source, _UsageError)
     if bound < 0:
         raise _UsageError(f"{source} must be nonnegative, got {bound}")
     return bound
@@ -451,13 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "family", None) is not None and getattr(args, "file", None) is not None:
             raise _UsageError("--family and --file are mutually exclusive")
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FormError, PresentationError, FamilyParameterError, ManifoldFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (
+        _UsageError, FormError, PresentationError, FamilyParameterError, ManifoldFileError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvariantError as exc:

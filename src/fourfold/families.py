@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, Presentation, parse_word
-from .forms import IntersectionForm, _decimal
+from .forms import IntersectionForm, read_int
 from .obstruction import ManifoldInvariants
 
 
@@ -71,7 +71,7 @@ class FamilyId:
             key = match.group(1)
             if key in params:
                 raise FamilyParameterError(f"duplicate parameter {key}")
-            params[key] = _decimal(match.group(2), f"parameter {key}", FamilyParameterError)
+            params[key] = read_int(match.group(2), f"parameter {key}", FamilyParameterError)
         return cls(kind, g=params.pop("g", None), n=params.pop("n", None))
 
     def __str__(self) -> str:

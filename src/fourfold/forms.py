@@ -390,13 +390,23 @@ _DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL | re.ASCII)
 _MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL | re.ASCII)
 
 
-def _decimal(text: str, field: str, error: type[Exception]) -> int:
-    """int(text) for a text that _INT_RE takes; error, naming field, if it is too long.
+# digits, signs, commas and ASCII whitespace; int() rejects every other
+# misuse of them (an empty or blank piece, a sign alone or twice, a space
+# inside a number), so the two together take exactly read_int's integers,
+# comma-separated, each with optional whitespace around it
+_INTS_CHARS_RE = re.compile(r"[0-9+\-,\s]*", re.ASCII)
 
-    int() refuses more than sys.get_int_max_str_digits() digits.  That limit
-    is process-wide state, so the readers report the refusal as their own
-    parse error rather than raise it.
+
+def read_int(text: str, field: str, error: type[Exception]) -> int:
+    """The integer text writes: ASCII digits with an optional sign, nothing around them.
+
+    Otherwise raise error, naming field.  int() also refuses more than
+    sys.get_int_max_str_digits() digits.  That limit is process-wide state,
+    so a text that the rule takes and int() refuses is reported as too long
+    rather than raised as int()'s own ValueError.
     """
+    if not _INT_RE.fullmatch(text):
+        raise error(f"{field} must be an integer, got {text!r}")
     try:
         return int(text)
     except ValueError:
@@ -407,14 +417,19 @@ def _decimal(text: str, field: str, error: type[Exception]) -> int:
         ) from None
 
 
-def _parse_int(text: str, field: str) -> int:
-    text = text.strip(_SPACE)
-    if not _INT_RE.fullmatch(text):
-        raise FormParseError(f"expected an integer, got {text!r}")
-    return _decimal(text, field, FormParseError)
+def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
+    """Comma-separated integers under read_int's rule, each with ASCII whitespace around it."""
+    if _INTS_CHARS_RE.fullmatch(text):
+        try:
+            # relation rows are mostly zeros; int("0") is 0, at a fraction of the cost
+            return tuple([0 if p == "0" else int(p) for p in text.split(",")])
+        except ValueError:
+            pass
+    # some piece is not an integer or is too long; read_int says which
+    return tuple(read_int(p.strip(_SPACE), field, error) for p in text.split(","))
 
 
-def _parse_matrix_literal(text: str) -> list[list[int]]:
+def _parse_matrix_literal(text: str) -> list[tuple[int, ...]]:
     # whitespace goes only next to brackets and commas, so "1 2" stays one
     # piece and is rejected as an integer
     squeezed = re.sub(r"\s*([][,])\s*", r"\1", text, flags=re.ASCII)
@@ -427,7 +442,7 @@ def _parse_matrix_literal(text: str) -> list[list[int]]:
     for chunk in body.split("],["):
         if not chunk:
             raise FormParseError("matrix rows must be nonempty")
-        rows.append([_parse_int(piece, "matrix entry") for piece in chunk.split(",")])
+        rows.append(read_ints(chunk, "matrix entry", FormParseError))
     return rows
 
 
@@ -446,7 +461,7 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _HYPERBOLIC_RE.match(text)
     if match:
-        k = 1 if match.group(1) is None else _decimal(match.group(1), "kH count", FormParseError)
+        k = 1 if match.group(1) is None else read_int(match.group(1), "kH count", FormParseError)
         if k < 1:
             raise FormParseError(f"hyperbolic sum needs k >= 1, got {k}")
         return IntersectionForm.hyperbolic(k)
@@ -456,8 +471,7 @@ def build_form(spec: str) -> IntersectionForm:
         inner = match.group(1).strip(_SPACE)
         if not inner:
             raise FormParseError("diag(...) needs at least one entry")
-        entries = [_parse_int(piece, "diag entry") for piece in inner.split(",")]
-        return IntersectionForm.diagonal(entries)
+        return IntersectionForm.diagonal(read_ints(inner, "diag entry", FormParseError))
 
     match = _MATRIX_RE.match(text)
     if match:
@@ -465,8 +479,6 @@ def build_form(spec: str) -> IntersectionForm:
         matrix = IntegerMatrix(rows)
         if matrix.rows != matrix.cols:
             raise FormParseError("matrix literal must be square")
-        if not matrix.is_symmetric:
-            raise FormError("matrix literal must be symmetric")
         return IntersectionForm(matrix)
 
     raise FormParseError(f"unrecognized form descriptor: {spec!r}")

@@ -311,17 +311,13 @@ class ChernEnumeration:
     """Witness listing; complete means the list is provably exhaustive.
 
     Every listed class has the same square, so the listing keeps the raw
-    coefficient tuples and that one square; witnesses is built on demand.
+    coefficient tuples and that one square.
     """
 
     coefficients: tuple[tuple[int, ...], ...]
     square: int
     complete: bool
     bound: int | None = None
-
-    @cached_property
-    def witnesses(self) -> tuple[ChernWitness, ...]:
-        return tuple(ChernWitness(c, self.square) for c in self.coefficients)
 
 
 def enumerate_chern_classes(

@@ -1,6 +1,7 @@
 """Smith normal form, abelianization, and presentation parsing."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,31 @@ from fourfold.abelian import (
 from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix
 from oracles import determinantal_divisors, matmul, rational_determinant
+
+_LIMIT_S = 60  # the slowest test here takes about a second
+
+
+class _Overran(BaseException):
+    """Not an Exception, so Hypothesis does not catch it and shrink, re-running the hang."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past _LIMIT_S, as a Smith loop that never ends would."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def overran(signum, frame):
+        raise _Overran(f"test ran past {_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

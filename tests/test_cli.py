@@ -17,20 +17,19 @@ from hypothesis import strategies as st
 
 import fourfold
 from fourfold import obstruction
-from fourfold.abelian import Presentation
+from fourfold.abelian import Presentation, PresentationError, parse_word
 from fourfold.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
     ManifoldFileError,
     _emit_enumeration_json,
-    _ints,
     format_manifold_file,
     main,
     parse_manifold_file,
 )
 from fourfold.families import FamilyId, family_invariants
-from fourfold.forms import IntersectionForm
+from fourfold.forms import IntersectionForm, read_ints
 
 GOOD_FILE = """\
 # a product of a torus and a genus-2 surface, say
@@ -167,7 +166,10 @@ class TestRelationGrammar:
     @example("1_0")
     @example("\u0663")  # ARABIC-INDIC DIGIT THREE: int() takes it, the charset does not
     def test_ints_is_int_per_piece(self, text):
-        assert _outcome(_ints, text) == _outcome(_int_split, text)
+        def read(t):
+            return read_ints(t, "entry", ValueError)
+
+        assert _outcome(read, text) == _outcome(_int_split, text)
 
 
 class TestAnalyze:
@@ -500,7 +502,9 @@ class TestExitCodesAndErrors:
         path = tmp_path / "spaced.man"
         path.write_text(GOOD_FILE.replace("form = H", "form = matrix [[1 2]]"), encoding="ascii")
         code, out, err = run(capsys, "analyze", "--file", str(path))
-        assert (code, out, err) == (EXIT_PARSE, "", "error: expected an integer, got '1 2'\n")
+        assert (code, out, err) == (
+            EXIT_PARSE, "", "error: matrix entry must be an integer, got '1 2'\n"
+        )
 
 
 _LONG = "1" * 5001  # more digits than int() reads by default (4300)
@@ -517,6 +521,7 @@ class TestIntegerDigitLimit:
             ("b1 = 4", f"b1 = {_LONG}", (), None, "b1"),
             ("w2 = 0", f"w2 = 0\ngens = +{_LONG}", (), None, "gens"),
             ("w2 = 0", f"w2 = 0\ngens = 2\nrel = 1, {_LONG}", (), None, "line 10: relation entry"),
+            ("w2 = 0", f"w2 = 1,{_LONG}", (), None, "w2 entry"),
             ("form = H", f"form = diag(1,{_LONG})", (), None, "diag entry"),
             ("form = H", f"form = matrix [[0,{_LONG}],[{_LONG},0]]", (), None, "matrix entry"),
             ("form = H", f"form = {_LONG}H", (), None, "kH count"),
@@ -527,7 +532,7 @@ class TestIntegerDigitLimit:
             (None, None, ("--family", f"M4 n={_LONG}"), None, "parameter n"),
         ],
         ids=[
-            "chi", "tau", "b1", "gens", "rel", "diag", "matrix", "kH", "h1-rank", "h1-torsion",
+            "chi", "tau", "b1", "gens", "rel", "w2", "diag", "matrix", "kH", "h1-rank", "h1-torsion",
             "bound-flag", "bound-env", "family",
         ],
     )
@@ -544,6 +549,12 @@ class TestIntegerDigitLimit:
         limit = sys.get_int_max_str_digits()
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"error: {field} is too long: 5001 digits, at most {limit} are read\n"
+
+    def test_word_exponent(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(PresentationError) as exc:
+            parse_word(["a"], f"a^{_LONG}")
+        assert str(exc.value) == f"word exponent is too long: 5001 digits, at most {limit} are read"
 
     @pytest.mark.parametrize(
         "command, b1, chi",
