@@ -17,7 +17,6 @@ from .abelian import (
 )
 from .classification import (
     KodairaDimension,
-    ModelMatch,
     SurfaceKind,
     SurfaceModel,
     ek_filter,
@@ -44,6 +43,7 @@ from .obstruction import (
     SpinStatus,
     StructureVerdict,
     VerdictStatus,
+    almost_complex_excluded,
     characteristic_residue,
     decide_almost_complex,
     decide_wu_existence,
@@ -70,7 +70,6 @@ __all__ = [
     "InvariantError",
     "KodairaDimension",
     "ManifoldInvariants",
-    "ModelMatch",
     "Presentation",
     "SpinStatus",
     "StructureVerdict",
@@ -78,6 +77,7 @@ __all__ = [
     "SurfaceModel",
     "VerdictStatus",
     "abelianize",
+    "almost_complex_excluded",
     "build_form",
     "characteristic_residue",
     "decide_almost_complex",

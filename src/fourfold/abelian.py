@@ -17,7 +17,7 @@ on the rows that remain, and reads torsion and free rank off the diagonal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
@@ -203,7 +203,6 @@ class Presentation:
 
     generators: int
     relations: tuple[tuple[int, ...], ...] = ()
-    generator_names: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.generators < 0:
@@ -222,11 +221,6 @@ class Presentation:
                 for x in rel:
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise PresentationError(f"relation entries must be ints, got {x!r}")
-        if self.generator_names:
-            names = tuple(self.generator_names)
-            if len(names) != self.generators:
-                raise PresentationError("generator_names length must match generators")
-            object.__setattr__(self, "generator_names", names)
 
 
 def _unit_pivots(

@@ -10,6 +10,9 @@ c1sq_min = c1sq + k and c2_min = c2 - k) is a mechanical filter.  An empty
 match list excludes the structure outright; surviving rational or ruled
 models can only be removed by comparing fundamental groups, which callers
 opt into as an explicit assumption.
+
+Both engines first apply the cascade: a record with no almost complex
+structure has neither a symplectic nor a complex one.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from .forms import IntersectionForm
 from .obstruction import (
     ManifoldInvariants,
     StructureVerdict,
-    require_valid,
+    almost_complex_excluded,
     wu_target,
 )
+
+_NO_ALMOST_COMPLEX = "no almost complex structure"
 
 
 class KodairaDimension(enum.Enum):
@@ -107,6 +112,11 @@ class SurfaceModel:
         if self.kind is SurfaceKind.RATIONAL_S2XS2 and self.blowups != 0:
             raise ValueError("S2 x S2 blow-ups are recorded as CP2 blow-ups")
 
+    @property
+    def requires_pi1_check(self) -> bool:
+        """Whether only a fundamental-group comparison can rule this model out."""
+        return self.kind in _RATIONAL_OR_RULED
+
     def __str__(self) -> str:
         if self.kind is SurfaceKind.RATIONAL_S2XS2:
             return "S2 x S2"
@@ -123,18 +133,9 @@ class SurfaceModel:
         return base
 
 
-@dataclass(frozen=True)
-class ModelMatch:
-    """One surviving model, and whether a fundamental-group comparison is
-    the remaining discriminator."""
-
-    model: SurfaceModel
-    requires_pi1_check: bool
-
-
 def rational_ruled_models(
     b1: int, chi: int, tau: int, form_even: bool
-) -> list[ModelMatch]:
+) -> list[SurfaceModel]:
     """Rational or ruled models matching (b1, chi, tau) and the form parity.
 
     These are the rational and ruled rows of the minimal-surface table at
@@ -143,9 +144,9 @@ def rational_ruled_models(
     form, while S2 x S2 and minimal ruled models have the even form H.
     """
     return [
-        ModelMatch(model, requires_pi1_check=True)
+        model
         for model in _ek_rows(b1, wu_target(chi, tau), chi)
-        if model.kind in _RATIONAL_OR_RULED
+        if model.requires_pi1_check
         and form_even == (model.kind is not SurfaceKind.RATIONAL_CP2 and model.blowups == 0)
     ]
 
@@ -199,17 +200,14 @@ def _ek_rows(b1: int, c1sq: int, c2: int):
             yield SurfaceModel(SurfaceKind.GENERAL_TYPE, blowups=k)
 
 
-def ek_filter(b1: int, c1sq: int, c2: int) -> list[ModelMatch]:
+def ek_filter(b1: int, c1sq: int, c2: int) -> list[SurfaceModel]:
     """All minimal-surface classes compatible with (b1, c1^2, c2).
 
     Purely numeric: exactly the printed table constraints and the linear
     blow-up accounting, nothing more.  An empty result proves no complex
     structure; survivors are candidates, not confirmations.
     """
-    return [
-        ModelMatch(model, requires_pi1_check=model.kind in _RATIONAL_OR_RULED)
-        for model in _ek_rows(b1, c1sq, c2)
-    ]
+    return list(_ek_rows(b1, c1sq, c2))
 
 
 def _pi1_assumption(model: SurfaceModel) -> str:
@@ -225,7 +223,8 @@ def exclude_symplectic(
     Only a definite route is taken: c1^2 >= 0 or a non-even form (where
     minimality is not established) yields Unknown rather than a guess.
     """
-    require_valid(m)
+    if almost_complex_excluded(m):  # validates m
+        return StructureVerdict.not_exists(_NO_ALMOST_COMPLEX)
     c1sq = wu_target(m.chi, m.tau)
     if c1sq >= 0:
         return StructureVerdict.unknown(
@@ -247,11 +246,11 @@ def exclude_symplectic(
         )
     if assume_pi1_distinct:
         return StructureVerdict.conditionally_excluded(
-            assumptions=[_pi1_assumption(s.model) for s in survivors],
+            assumptions=[_pi1_assumption(s) for s in survivors],
             reasons=[base],
         )
     return StructureVerdict.unknown(
-        reasons=[base] + [f"surviving model: {s.model}" for s in survivors]
+        reasons=[base] + [f"surviving model: {s}" for s in survivors]
     )
 
 
@@ -259,12 +258,11 @@ def exclude_complex(
     m: ManifoldInvariants, assume_pi1_distinct: bool = False
 ) -> StructureVerdict:
     """Complex-structure exclusion through the minimal-surface table."""
-    require_valid(m)
+    reasons = [f"class VII excluded: b1 = {m.b1} != 1"] if m.b1 != 1 else []
+    if almost_complex_excluded(m):  # validates m
+        return StructureVerdict.not_exists(_NO_ALMOST_COMPLEX, *reasons)
     c1sq = wu_target(m.chi, m.tau)
     c2 = m.chi
-    reasons = []
-    if m.b1 != 1:
-        reasons.append(f"class VII excluded: b1 = {m.b1} != 1")
     matches = ek_filter(m.b1, c1sq, c2)
     if not matches:
         return StructureVerdict.not_exists(
@@ -272,11 +270,11 @@ def exclude_complex(
             f"no surface class matches (b1, c1^2, c2) = ({m.b1}, {c1sq}, {c2}) "
             "for any blow-up count",
         )
-    if assume_pi1_distinct and all(match.requires_pi1_check for match in matches):
+    if assume_pi1_distinct and all(model.requires_pi1_check for model in matches):
         return StructureVerdict.conditionally_excluded(
-            assumptions=[_pi1_assumption(match.model) for match in matches],
+            assumptions=[_pi1_assumption(model) for model in matches],
             reasons=reasons,
         )
     return StructureVerdict.unknown(
-        reasons=reasons + [f"surviving class: {match.model}" for match in matches]
+        reasons=reasons + [f"surviving class: {model}" for model in matches]
     )

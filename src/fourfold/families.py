@@ -95,6 +95,11 @@ def _commutator_word(g: int) -> str:
     )
 
 
+def _presentation(names: list[str], words: list[str]) -> Presentation:
+    """The exponent-sum rows of the relator words over the named generators."""
+    return Presentation(len(names), tuple(parse_word(names, w) for w in words))
+
+
 def _m1_presentation(g: int) -> Presentation:
     names = _surface_generators(g) + ["c", "d", "e", "f"]
     words = [
@@ -102,11 +107,7 @@ def _m1_presentation(g: int) -> Presentation:
         "e d e^-1 c^-1",
         "d f^3",
     ]
-    return Presentation(
-        len(names),
-        tuple(parse_word(names, w) for w in words),
-        generator_names=tuple(names),
-    )
+    return _presentation(names, words)
 
 
 def _m2_presentation(g: int, n: int) -> Presentation:
@@ -123,11 +124,7 @@ def _m2_presentation(g: int, n: int) -> Presentation:
     words = [long_word] + [
         f"e{i} d{i} e{i}^-1 c{i}^-1" for i in range(1, n + 1)
     ]
-    return Presentation(
-        len(names),
-        tuple(parse_word(names, w) for w in words),
-        generator_names=tuple(names),
-    )
+    return _presentation(names, words)
 
 
 def _m4_presentation(n: int) -> Presentation:
@@ -144,11 +141,7 @@ def _m4_presentation(n: int) -> Presentation:
                 f"g{i} h{i} j{i}",
             )
         )
-    return Presentation(
-        len(names),
-        tuple(parse_word(names, w) for w in words),
-        generator_names=tuple(names),
-    )
+    return _presentation(names, words)
 
 
 def family_invariants(fid: FamilyId) -> ManifoldInvariants:

@@ -10,6 +10,7 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
   tier 0   mod-8 filter: on a unimodular form, any class congruent to the
            characteristic residue has square congruent to the signature
            mod 8, so a mismatched target settles NotExists outright.
+           It needs no bound; almost_complex_excluded runs it alone.
   tier 1   literal hyperbolic sums kH: the form is even and unimodular,
            so w2 = 0 and tier 0 has settled every target not divisible by
            8; (target/4, 2, 0, ..., 0) is an explicit witness for the rest.
@@ -209,7 +210,26 @@ def mod8_filter(form: IntersectionForm, target: int, w2: Sequence[int]) -> bool:
         raise FormError("the mod-8 filter applies to unimodular forms only")
     if tuple(w2) != characteristic_residue(form):
         raise FormError("w2 must equal the characteristic residue of the form")
-    return (target - form.signature) % 8 == 0
+    return _mod8_obstruction(form, target) is None
+
+
+def _mod8_obstruction(form: IntersectionForm, target: int) -> str | None:
+    """Tier 0's reason when a unimodular form misses the target, else None."""
+    if form.is_unimodular and (target - form.signature) % 8:
+        return (
+            f"mod-8 obstruction: target {target} is not congruent to "
+            f"signature {form.signature} mod 8"
+        )
+    return None
+
+
+def almost_complex_excluded(m: ManifoldInvariants) -> bool:
+    """Whether decide_almost_complex answers NotExists, which only tier 0 does.
+
+    Validates the record first; needs no bound and runs no search.
+    """
+    require_valid(m)
+    return _mod8_obstruction(m.form, wu_target(m.chi, m.tau)) is not None
 
 
 def resolve_w2(m: ManifoldInvariants) -> tuple[int, ...]:
@@ -269,17 +289,13 @@ def decide_wu_existence(
     if len(residue) != form.rank:
         raise InvariantError([f"w2 must have length {form.rank}"])
 
-    if form.is_unimodular:
-        expected = characteristic_residue(form)
-        if residue != expected:
-            raise InvariantError(
-                ["w2 is not the characteristic residue of the unimodular form"]
-            )
-        if not mod8_filter(form, target, residue):
-            return StructureVerdict.not_exists(
-                f"mod-8 obstruction: target {target} is not congruent to "
-                f"signature {form.signature} mod 8"
-            )
+    if form.is_unimodular and residue != characteristic_residue(form):
+        raise InvariantError(
+            ["w2 is not the characteristic residue of the unimodular form"]
+        )
+    obstructed = _mod8_obstruction(form, target)
+    if obstructed is not None:
+        return StructureVerdict.not_exists(obstructed)
 
     if form.hyperbolic_summands is not None:
         # tier 1: kH is unimodular with residue 0, so tier 0 has left only

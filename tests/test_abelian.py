@@ -392,7 +392,3 @@ class TestPresentationText:
             pass
 
         assert Presentation(2, ((Exponent(1), 2),)).relations == ((1, 2),)
-
-    def test_presentation_validates_names(self):
-        with pytest.raises(PresentationError):
-            Presentation(2, (), ("onlyone",))

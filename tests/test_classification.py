@@ -6,7 +6,6 @@ from fourfold.abelian import AbelianGroup
 from fourfold.forms import build_form
 from fourfold.classification import (
     KodairaDimension,
-    ModelMatch,
     SurfaceKind,
     SurfaceModel,
     ek_filter,
@@ -108,31 +107,27 @@ class TestSurfaceModel:
             SurfaceModel(SurfaceKind.RATIONAL_S2XS2, blowups=1)
 
 
-def _models(matches):
-    return {m.model for m in matches}
-
-
 class TestRationalRuledModels:
     def test_spheres_product(self):
         got = rational_ruled_models(0, 4, 0, form_even=True)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RATIONAL_S2XS2)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_S2XS2)}
 
     def test_blown_up_plane(self):
         got = rational_ruled_models(0, 4, 0, form_even=False)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=1)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=1)}
 
     def test_plane_itself(self):
         got = rational_ruled_models(0, 3, 1, form_even=False)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=0)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=0)}
 
     def test_minimal_ruled(self):
         got = rational_ruled_models(4, -4, 0, form_even=True)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}
         assert all(m.requires_pi1_check for m in got)
 
     def test_blown_up_ruled(self):
         got = rational_ruled_models(4, -3, -1, form_even=False)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RULED, genus=2, blowups=1)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2, blowups=1)}
 
     def test_parity_prunes_blowups(self):
         # one blow-up forces an odd form; an even form cannot match
@@ -146,27 +141,27 @@ class TestRationalRuledModels:
 
     def test_genus_zero_lives_in_the_rational_branch(self):
         got = rational_ruled_models(0, 4, 0, form_even=True)
-        assert all(m.model.kind is not SurfaceKind.RULED for m in got)
+        assert all(m.kind is not SurfaceKind.RULED for m in got)
 
 
 class TestEkFilter:
     def test_minimal_ruled_only(self):
         got = ek_filter(4, -8, -4)
-        assert _models(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}
+        assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}
 
     def test_empty_for_odd_b1(self):
         assert ek_filter(3, -2, -2) == []
 
     def test_projective_plane_numbers(self):
         got = ek_filter(0, 9, 3)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.RATIONAL_CP2),
             SurfaceModel(SurfaceKind.GENERAL_TYPE),
         }
 
     def test_spheres_product_numbers(self):
         got = ek_filter(0, 8, 4)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.RATIONAL_S2XS2),
             SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=1),
             SurfaceModel(SurfaceKind.GENERAL_TYPE),
@@ -174,7 +169,7 @@ class TestEkFilter:
 
     def test_b1_one_sector(self):
         got = ek_filter(1, 0, 0)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.CLASS_VII),
             SurfaceModel(SurfaceKind.KODAIRA_SURFACE),
             SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC),
@@ -182,7 +177,7 @@ class TestEkFilter:
 
     def test_k3_numbers(self):
         got = ek_filter(0, 0, 24)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.K3),
             SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC),
             SurfaceModel(SurfaceKind.GENERAL_TYPE, blowups=1),
@@ -190,42 +185,42 @@ class TestEkFilter:
 
     def test_torus_numbers(self):
         got = ek_filter(4, 0, 0)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.TORUS),
             SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC),
         }
 
     def test_bi_elliptic_numbers(self):
         got = ek_filter(2, 0, 0)
-        assert _models(got) == {
+        assert set(got) == {
             SurfaceModel(SurfaceKind.BI_ELLIPTIC),
             SurfaceModel(SurfaceKind.RULED, genus=1),
             SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC),
         }
 
     def test_flags_follow_the_kind(self):
-        for match in ek_filter(0, 8, 4) + ek_filter(4, 0, 0):
-            expect = match.model.kind in {
+        for model in ek_filter(0, 8, 4) + ek_filter(4, 0, 0):
+            expect = model.kind in {
                 SurfaceKind.RATIONAL_S2XS2,
                 SurfaceKind.RATIONAL_CP2,
                 SurfaceKind.RULED,
             }
-            assert match.requires_pi1_check == expect
+            assert model.requires_pi1_check == expect
 
     def test_blowup_accounting_shifts_both_numbers(self):
         # K3 # 2 CP2bar has c1sq = -2 and c2 = 26
         got = ek_filter(0, -2, 26)
-        assert SurfaceModel(SurfaceKind.K3, blowups=2) in _models(got)
+        assert SurfaceModel(SurfaceKind.K3, blowups=2) in set(got)
 
     def test_agrees_with_rational_ruled_on_even_minimal_data(self):
         # even form, tau = 0: both engines must offer the same ruled sector
         for genus in range(1, 7):
             b1, chi, tau = 2 * genus, 4 * (1 - genus), 0
-            rr = _models(rational_ruled_models(b1, chi, tau, form_even=True))
+            rr = set(rational_ruled_models(b1, chi, tau, form_even=True))
             ek = {
-                m.model
+                m
                 for m in ek_filter(b1, 2 * chi + 3 * tau, chi)
-                if m.model.kind
+                if m.kind
                 in {SurfaceKind.RULED, SurfaceKind.RATIONAL_S2XS2, SurfaceKind.RATIONAL_CP2}
             }
             assert rr == ek == {SurfaceModel(SurfaceKind.RULED, genus=genus)}

@@ -28,8 +28,12 @@ from fourfold.cli import (
     main,
     parse_manifold_file,
 )
+from fourfold.abelian import AbelianGroup
+from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.families import FamilyId, family_invariants
-from fourfold.forms import IntersectionForm, read_ints
+from fourfold.forms import IntegerMatrix, IntersectionForm, read_ints
+from fourfold.obstruction import ManifoldInvariants, almost_complex_excluded
+from oracles import E8_ROWS, H_ROWS, block_sum
 
 GOOD_FILE = """\
 # a product of a torus and a genus-2 surface, say
@@ -354,6 +358,64 @@ class TestEnumerate:
         assert lines[len(lines) - len(listed) :] == [
             "  (" + ", ".join(map(str, c)) + ")" for c in listed
         ]
+
+
+def _census_forms():
+    """(name, form, signature): I_{p,q}, kH + mE8 and kH, the unimodular census grid."""
+    for p in range(7):
+        for q in range(7):
+            if 1 <= p + q <= 10:
+                yield f"I_{p},{q}", IntersectionForm.diagonal([1] * p + [-1] * q), p - q
+    for k in range(4):
+        for m in (-2, -1, 1, 2):
+            e8 = [[(1 if m > 0 else -1) * x for x in row] for row in E8_ROWS]
+            rows = block_sum(*[H_ROWS] * k, *[e8] * abs(m))
+            yield f"{k}H+{m}E8", IntersectionForm(IntegerMatrix(rows)), 8 * m
+    for k in range(1, 6):
+        yield f"{k}H", IntersectionForm.hyperbolic(k), 0
+
+
+def _census():
+    for name, form, tau in _census_forms():
+        for b1 in range(7):
+            chi = 2 - 2 * b1 + form.rank
+            yield ManifoldInvariants(f"{name} b1={b1}", chi, tau, form, b1, AbelianGroup(b1))
+
+
+def _printed(v) -> dict:
+    return {
+        "status": str(v.status),
+        "witness": None,
+        "reasons": list(v.reasons),
+        "assumptions": list(v.assumptions),
+        "search_bound": v.search_bound,
+    }
+
+
+class TestLibraryAgreesWithAnalyze:
+    """The library engines give the structure cascade, so they say what analyze says."""
+
+    def test_census_grid(self, capsys, tmp_path):
+        records = list(_census())
+        assert len(records) == 462
+        path = tmp_path / "m.man"
+        disagree = []
+        for m in records:
+            path.write_text(format_manifold_file(m))
+            for assume, flag in ((False, []), (True, ["--assume-pi1-distinct"])):
+                # symplectic and complex take no bound; bound 0 keeps the search short
+                argv = ["analyze", "--file", str(path), "--json", "--bound", "0", *flag]
+                code, out, err = run(capsys, *argv)
+                assert code == EXIT_OK and err == "", m.name
+                report = json.loads(out)
+                if (
+                    report["symplectic"] != _printed(exclude_symplectic(m, assume))
+                    or report["complex"] != _printed(exclude_complex(m, assume))
+                    or almost_complex_excluded(m)
+                    != (report["almost_complex"]["status"] == "NotExists")
+                ):
+                    disagree.append((m.name, assume))
+        assert disagree == []
 
 
 class TestFamilyCommand:

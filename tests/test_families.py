@@ -3,6 +3,7 @@
 import pytest
 
 from fourfold.abelian import AbelianGroup, abelianize
+from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.families import (
     FamilyId,
     FamilyParameterError,
@@ -14,6 +15,7 @@ from fourfold.obstruction import (
     ManifoldInvariants,
     SpinStatus,
     VerdictStatus,
+    almost_complex_excluded,
     decide_almost_complex,
     is_spin,
     validate_invariants,
@@ -109,9 +111,10 @@ class TestRecords:
             m = family_invariants(fid)
             assert abelianize(m.presentation) == m.h1, str(fid)
 
-    def test_generator_names_attached(self):
+    def test_relation_rows_follow_generator_order(self):
+        # generators a1, b1, c, d, e, f: the relator "d f^3" is row 2
         p = family_invariants(FamilyId("M1", g=1)).presentation
-        assert p.generator_names == ("a1", "b1", "c", "d", "e", "f")
+        assert p.generators == 6
         assert p.relations[2] == (0, 0, 0, 1, 0, 3)
 
 
@@ -185,3 +188,17 @@ class TestWuOnFamilies:
         v = decide_almost_complex(family_invariants(FamilyId("M4", n=3)))
         assert v.status is VerdictStatus.NOT_EXISTS
         assert any("mod-8" in r for r in v.reasons)
+
+    def test_m4_odd_cascades_in_the_library(self):
+        m = family_invariants(FamilyId("M4", n=3))
+        assert almost_complex_excluded(m)
+        for assume in (False, True):
+            sym = exclude_symplectic(m, assume)
+            cpx = exclude_complex(m, assume)
+            assert sym.status is cpx.status is VerdictStatus.NOT_EXISTS
+            assert sym.reasons == ("no almost complex structure",)
+            assert cpx.reasons == (
+                "no almost complex structure",
+                "class VII excluded: b1 = 7 != 1",
+            )
+            assert sym.assumptions == cpx.assumptions == ()
