@@ -16,15 +16,11 @@ from .abelian import (
     smith_normal_form,
 )
 from .classification import (
-    KodairaDimension,
     SurfaceKind,
     SurfaceModel,
     ek_filter,
     exclude_complex,
     exclude_symplectic,
-    is_minimal_by_parity,
-    rational_ruled_models,
-    symplectic_kodaira_dimension,
 )
 from .families import FamilyId, FamilyParameterError, family_invariants
 from .forms import (
@@ -49,7 +45,6 @@ from .obstruction import (
     decide_wu_existence,
     enumerate_chern_classes,
     is_spin,
-    mod8_filter,
     validate_invariants,
     wu_target,
 )
@@ -68,7 +63,6 @@ __all__ = [
     "IntegerMatrix",
     "IntersectionForm",
     "InvariantError",
-    "KodairaDimension",
     "ManifoldInvariants",
     "Presentation",
     "SpinStatus",
@@ -87,14 +81,10 @@ __all__ = [
     "exclude_complex",
     "exclude_symplectic",
     "family_invariants",
-    "is_minimal_by_parity",
     "is_spin",
-    "mod8_filter",
     "parse_abelian_group",
     "parse_word",
-    "rational_ruled_models",
     "smith_normal_form",
-    "symplectic_kodaira_dimension",
     "validate_invariants",
     "wu_target",
 ]

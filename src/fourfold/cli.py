@@ -10,11 +10,11 @@ Subcommands:
 
 Manifolds come either from --family "M1 g=2" style specs or from --file in a
 line-oriented key = value format (see parse_manifold_file).  Exit codes:
-1 for parse errors and for derived integers too long to write, 2 for
-invariant validation failures, 0 otherwise.  The
-default search bound is 32; the FOURFOLD_BOUND environment variable
-overrides it and the --bound flag wins over both.  All output is
-deterministic: two runs on the same input are byte-identical.
+1 for parse errors, for derived integers too long to write and (silently)
+for an output pipe closed by its reader, 2 for invariant validation
+failures, 0 otherwise.  The default search bound is 32; the FOURFOLD_BOUND
+environment variable overrides it and the --bound flag wins over both.  All
+output is deterministic: two runs on the same input are byte-identical.
 """
 
 from __future__ import annotations
@@ -414,6 +414,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "family", None) is not None and getattr(args, "file", None) is not None:
             raise _UsageError("--family and --file are mutually exclusive")
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # cannot raise again, and report nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARSE
     except (
         _UsageError, FormError, PresentationError, FamilyParameterError, ManifoldFileError, OSError
     ) as exc:

@@ -198,21 +198,6 @@ def characteristic_residue(form: IntersectionForm) -> tuple[int, ...]:
     return form.characteristic_residue
 
 
-def mod8_filter(form: IntersectionForm, target: int, w2: Sequence[int]) -> bool:
-    """Necessary condition on a unimodular form: target = signature mod 8.
-
-    Classes congruent to the characteristic residue are characteristic
-    vectors, and characteristic vectors of unimodular lattices have squares
-    congruent to the signature mod 8.  Returns False when the target fails
-    that congruence (so no solution can exist), True when it passes.
-    """
-    if not form.is_unimodular:
-        raise FormError("the mod-8 filter applies to unimodular forms only")
-    if tuple(w2) != characteristic_residue(form):
-        raise FormError("w2 must equal the characteristic residue of the form")
-    return _mod8_obstruction(form, target) is None
-
-
 def _mod8_obstruction(form: IntersectionForm, target: int) -> str | None:
     """Tier 0's reason when a unimodular form misses the target, else None."""
     if form.is_unimodular and (target - form.signature) % 8:

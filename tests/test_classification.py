@@ -1,68 +1,24 @@
-"""Kodaira dimension table, model matching, and the two exclusion engines."""
+"""The minimal-surface table and the two exclusion engines that read it."""
 
 import pytest
 
 from fourfold.abelian import AbelianGroup
-from fourfold.forms import build_form
+from fourfold.forms import IntegerMatrix, IntersectionForm, build_form
 from fourfold.classification import (
-    KodairaDimension,
     SurfaceKind,
     SurfaceModel,
     ek_filter,
     exclude_complex,
     exclude_symplectic,
-    is_minimal_by_parity,
-    rational_ruled_models,
-    symplectic_kodaira_dimension,
 )
 from fourfold.obstruction import ManifoldInvariants, VerdictStatus
+from oracles import E8_ROWS, H_ROWS, block_sum
 
 
 def _record(name="X", chi=4, tau=0, form="H", b1=0):
     return ManifoldInvariants(
         name=name, chi=chi, tau=tau, form=build_form(form), b1=b1, h1=AbelianGroup(b1)
     )
-
-
-class TestKodairaTable:
-    EXPECTED = {
-        (1, -1): KodairaDimension.MINUS_INFINITY,
-        (1, 0): KodairaDimension.MINUS_INFINITY,
-        (1, 1): KodairaDimension.MINUS_INFINITY,
-        (0, -1): KodairaDimension.MINUS_INFINITY,
-        (-1, -1): KodairaDimension.MINUS_INFINITY,
-        (0, 0): KodairaDimension.ZERO,
-        (-1, 0): KodairaDimension.ONE,
-        (-1, 1): KodairaDimension.TWO,
-        (0, 1): None,
-    }
-
-    def test_totality(self):
-        seen = {}
-        for dot in (-1, 0, 1):
-            for square in (-1, 0, 1):
-                seen[(dot, square)] = symplectic_kodaira_dimension(dot, square)
-        assert seen == self.EXPECTED
-        assert sum(v is not None for v in seen.values()) == 8
-
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            symplectic_kodaira_dimension(2, 0)
-        with pytest.raises(ValueError):
-            symplectic_kodaira_dimension(0, -2)
-
-    def test_str(self):
-        assert str(KodairaDimension.MINUS_INFINITY) == "-inf"
-        assert str(KodairaDimension.TWO) == "2"
-
-
-class TestMinimality:
-    def test_even_is_minimal(self):
-        assert is_minimal_by_parity(build_form("H"))
-        assert is_minimal_by_parity(build_form("4H"))
-
-    def test_odd_is_undecided(self):
-        assert not is_minimal_by_parity(build_form("diag(1,-1)"))
 
 
 _KIND_STR = {
@@ -105,43 +61,6 @@ class TestSurfaceModel:
             SurfaceModel(SurfaceKind.RULED)
         with pytest.raises(ValueError):
             SurfaceModel(SurfaceKind.RATIONAL_S2XS2, blowups=1)
-
-
-class TestRationalRuledModels:
-    def test_spheres_product(self):
-        got = rational_ruled_models(0, 4, 0, form_even=True)
-        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_S2XS2)}
-
-    def test_blown_up_plane(self):
-        got = rational_ruled_models(0, 4, 0, form_even=False)
-        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=1)}
-
-    def test_plane_itself(self):
-        got = rational_ruled_models(0, 3, 1, form_even=False)
-        assert set(got) == {SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=0)}
-
-    def test_minimal_ruled(self):
-        got = rational_ruled_models(4, -4, 0, form_even=True)
-        assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}
-        assert all(m.requires_pi1_check for m in got)
-
-    def test_blown_up_ruled(self):
-        got = rational_ruled_models(4, -3, -1, form_even=False)
-        assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2, blowups=1)}
-
-    def test_parity_prunes_blowups(self):
-        # one blow-up forces an odd form; an even form cannot match
-        assert rational_ruled_models(4, -3, -1, form_even=True) == []
-        # and a minimal ruled surface has the even form H
-        assert rational_ruled_models(4, -4, 0, form_even=False) == []
-
-    def test_odd_b1_matches_nothing(self):
-        assert rational_ruled_models(3, -4, 0, form_even=True) == []
-        assert rational_ruled_models(5, 0, 0, form_even=False) == []
-
-    def test_genus_zero_lives_in_the_rational_branch(self):
-        got = rational_ruled_models(0, 4, 0, form_even=True)
-        assert all(m.kind is not SurfaceKind.RULED for m in got)
 
 
 class TestEkFilter:
@@ -212,18 +131,61 @@ class TestEkFilter:
         got = ek_filter(0, -2, 26)
         assert SurfaceModel(SurfaceKind.K3, blowups=2) in set(got)
 
-    def test_agrees_with_rational_ruled_on_even_minimal_data(self):
-        # even form, tau = 0: both engines must offer the same ruled sector
-        for genus in range(1, 7):
-            b1, chi, tau = 2 * genus, 4 * (1 - genus), 0
-            rr = set(rational_ruled_models(b1, chi, tau, form_even=True))
-            ek = {
-                m
-                for m in ek_filter(b1, 2 * chi + 3 * tau, chi)
-                if m.kind
-                in {SurfaceKind.RULED, SurfaceKind.RATIONAL_S2XS2, SurfaceKind.RATIONAL_CP2}
-            }
-            assert rr == ek == {SurfaceModel(SurfaceKind.RULED, genus=genus)}
+
+def _even_grid():
+    """Valid records on kH + mE8 (k <= 4, m in -1..1, not both 0) with b1 <= 12."""
+    for k in range(5):
+        for m in (-1, 0, 1):
+            if k == m == 0:
+                continue
+            e8 = [[m * x for x in row] for row in E8_ROWS] if m else []
+            form = IntersectionForm(IntegerMatrix(block_sum(*[H_ROWS] * k, *[e8] * abs(m))))
+            for b1 in range(13):
+                chi = 2 - 2 * b1 + form.rank
+                yield ManifoldInvariants(
+                    f"{k}H+{m}E8 b1={b1}", chi, 8 * m, form, b1, AbelianGroup(b1)
+                )
+
+
+class TestSymplecticArithmetic:
+    """exclude_symplectic on even forms against closed-form answers, not the table."""
+
+    def test_even_grid(self):
+        survivors = 0
+        for rec in _even_grid():
+            c1sq = 2 * rec.chi + 3 * rec.tau
+            genus = rec.b1 // 2
+            plain = exclude_symplectic(rec)
+            flagged = exclude_symplectic(rec, assume_pi1_distinct=True)
+            if (c1sq - rec.tau) % 8:
+                expected = (VerdictStatus.NOT_EXISTS, ("no almost complex structure",))
+                assert (plain.status, plain.reasons) == expected, rec.name
+                assert flagged == plain, rec.name
+            elif c1sq >= 0:
+                assert plain.status is VerdictStatus.UNKNOWN, rec.name
+                assert flagged == plain, rec.name
+            elif rec.b1 % 2 == 0 and genus >= 2 and rec.chi == 4 * (1 - genus) == c1sq // 2:
+                survivors += 1
+                model = f"S2 x Sigma_{genus}"
+                assert plain.status is VerdictStatus.UNKNOWN, rec.name
+                assert plain.reasons[1:] == (f"surviving model: {model}",), rec.name
+                assert flagged.status is VerdictStatus.CONDITIONALLY_EXCLUDED, rec.name
+                assert flagged.assumptions == (f"pi1 differs from ruled model {model}",)
+            else:
+                assert plain.status is VerdictStatus.NOT_EXISTS, rec.name
+                assert plain.reasons[1:] == (
+                    "no rational or ruled model matches (b1, chi, tau)",
+                ), rec.name
+                assert flagged == plain, rec.name
+        # H with b1 = 2g, g = 2..6: the minimal ruled surfaces over Sigma_g
+        assert survivors == 5
+
+    def test_reason_text(self):
+        v = exclude_symplectic(_record(chi=-8, tau=0, form="3H", b1=8))
+        assert v.reasons[0] == (
+            "c1^2 = -16 < 0 on a minimal manifold forces Kodaira dimension -inf, "
+            "i.e. a rational or ruled model"
+        )
 
 
 class TestExcludeSymplectic:

@@ -520,6 +520,20 @@ class TestExitCodesAndErrors:
         assert code == EXIT_PARSE
         assert "error:" in err
 
+    def test_closed_output_pipe_exits_quietly(self):
+        # about 1.2 MB of witnesses; the reader takes one line and closes the pipe
+        argv = ["enumerate", "--family", "M4 n=4", "--bound", "4"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fourfold", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == b"manifold           M4(n=4)\n"
+        assert (proc.wait(), err) == (EXIT_PARSE, b"")
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -644,13 +658,19 @@ class TestIntegerDigitLimit:
         assert sys.get_int_max_str_digits() == limit
 
 
-def _alone(argv):
-    """(exit code, stdout, stderr) of `python -m fourfold *argv` in a fresh process."""
+def _module_env():
+    """The environment for `python -m fourfold` that imports this fourfold."""
     env = dict(os.environ)
     paths = (os.path.dirname(os.path.dirname(fourfold.__file__)), env.get("PYTHONPATH"))
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+def _alone(argv):
+    """(exit code, stdout, stderr) of `python -m fourfold *argv` in a fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-m", "fourfold", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "fourfold", *argv],
+        capture_output=True, text=True, env=_module_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -15,12 +15,12 @@ from fourfold.obstruction import (
     SpinStatus,
     StructureVerdict,
     VerdictStatus,
+    almost_complex_excluded,
     characteristic_residue,
     decide_almost_complex,
     decide_wu_existence,
     enumerate_chern_classes,
     is_spin,
-    mod8_filter,
     resolve_w2,
     validate_invariants,
     wu_target,
@@ -98,27 +98,46 @@ class TestCharacteristicResidue:
 
 
 class TestMod8Filter:
+    """Tier 0 through its two entries: decide_wu_existence and almost_complex_excluded.
+
+    On a unimodular form of signature sigma a target passes when it is
+    congruent to sigma mod 8.  A record with form q and first Betti number
+    b1 has target 2*chi + 3*sigma with chi = 2 - 2*b1 + rank(q).
+    """
+
+    @staticmethod
+    def _check(spec, target, passes, b1=None):
+        form = build_form(spec)
+        verdict = decide_wu_existence(form, form.characteristic_residue, target, bound=4)
+        if passes:
+            assert verdict.status is VerdictStatus.EXISTS
+        else:
+            assert verdict.status is VerdictStatus.NOT_EXISTS
+            assert verdict.reasons[0].startswith("mod-8 obstruction")
+        if b1 is not None:
+            m = _record(chi=2 - 2 * b1 + form.rank, tau=form.signature, form=form, b1=b1)
+            assert wu_target(m.chi, m.tau) == target
+            assert almost_complex_excluded(m) is not passes
+
     def test_hyperbolic(self):
-        h = build_form("H")
-        assert mod8_filter(h, -8, (0, 0))
-        assert mod8_filter(h, 0, (0, 0))
-        assert not mod8_filter(h, -4, (0, 0))
+        self._check("H", -8, True, b1=4)
+        self._check("H", 0, True, b1=2)
+        self._check("H", -4, False, b1=3)
 
     def test_three_hyperbolic(self):
-        q = build_form("3H")
-        assert not mod8_filter(q, -12, (0,) * 6)
-        assert mod8_filter(q, -16, (0,) * 6)
+        self._check("3H", -12, False, b1=7)
+        self._check("3H", -16, True, b1=8)
 
     def test_odd_form_uses_signature(self):
-        q = build_form("diag(1)")
-        assert mod8_filter(q, 9, (1,))
-        assert not mod8_filter(q, 3, (1,))
+        self._check("diag(1)", 9, True, b1=0)
+        # a record on diag(1) has target 9 - 4*b1, so 3 is reached by no record
+        self._check("diag(1)", 3, False)
 
     def test_rejects_wrong_inputs(self):
-        with pytest.raises(FormError):
-            mod8_filter(build_form("diag(2)"), 0, (0,))
-        with pytest.raises(FormError):
-            mod8_filter(build_form("H"), 0, (1, 1))
+        with pytest.raises(InvariantError):
+            decide_wu_existence(build_form("H"), (1, 1), 0)
+        with pytest.raises(InvariantError):
+            almost_complex_excluded(_record(form="H", w2=(1, 1)))
 
 
 class TestResolveW2:
