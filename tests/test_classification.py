@@ -21,6 +21,30 @@ def _record(name="X", chi=4, tau=0, form="H", b1=0):
     )
 
 
+_MINIMAL_REASON = "on a minimal manifold forces Kodaira dimension -inf"
+
+
+class TestMinimality:
+    """exclude_symplectic takes an even form as minimal and an odd one as undecided."""
+
+    def test_even_is_minimal(self):
+        # H at b1 = 4 and 4H at b1 = 7 both have c1^2 = -8
+        for form, chi, b1 in (("H", -4, 4), ("4H", -4, 7)):
+            m = _record(chi=chi, tau=0, form=form, b1=b1)
+            assert m.form.is_even
+            v = exclude_symplectic(m)
+            assert _MINIMAL_REASON in v.reasons[0], form
+            assert not any("minimality" in r for r in v.reasons), form
+
+    def test_odd_is_undecided(self):
+        m = _record(chi=-4, tau=0, form="diag(1,-1)", b1=4)
+        assert not m.form.is_even
+        for flag in (False, True):
+            v = exclude_symplectic(m, assume_pi1_distinct=flag)
+            assert v.status is VerdictStatus.UNKNOWN
+            assert v.reasons == ("minimality not established: the form is odd",)
+
+
 _KIND_STR = {
     SurfaceKind.RATIONAL_S2XS2: "S2 x S2",
     SurfaceKind.RATIONAL_CP2: "CP2",
@@ -61,6 +85,62 @@ class TestSurfaceModel:
             SurfaceModel(SurfaceKind.RULED)
         with pytest.raises(ValueError):
             SurfaceModel(SurfaceKind.RATIONAL_S2XS2, blowups=1)
+
+
+def _rational_ruled(b1, chi, tau):
+    """The table's rational and ruled rows with no blow-ups: the minimal models."""
+    return {
+        model
+        for model in ek_filter(b1, 2 * chi + 3 * tau, chi)
+        if model.requires_pi1_check and not model.blowups
+    }
+
+
+def _survivors(v):
+    return [r for r in v.reasons if r.startswith("surviving model: ")]
+
+
+class TestRationalRuledModels:
+    """The rational and ruled rows of the table, as exclude_symplectic reads them."""
+
+    def test_spheres_product(self):
+        assert _rational_ruled(0, 4, 0) == {SurfaceModel(SurfaceKind.RATIONAL_S2XS2)}
+        # c1^2 = 8 >= 0: the engine does not take the table route
+        v = exclude_symplectic(_record(chi=4, tau=0, form="H", b1=0))
+        assert v.status is VerdictStatus.UNKNOWN
+        assert _survivors(v) == []
+
+    def test_minimal_ruled(self):
+        got = _rational_ruled(4, -4, 0)
+        assert got == {SurfaceModel(SurfaceKind.RULED, genus=2)}
+        assert all(m.requires_pi1_check for m in got)
+        v = exclude_symplectic(_record(chi=-4, tau=0, form="H", b1=4))
+        assert _survivors(v) == ["surviving model: S2 x Sigma_2"]
+
+    def test_parity_prunes_blowups(self):
+        # the table has S2 x Sigma_2 # CP2bar at (4, -3, -1), but one blow-up
+        # forces an odd form, so no minimal model matches
+        assert SurfaceModel(SurfaceKind.RULED, genus=2, blowups=1) in ek_filter(4, -9, -3)
+        assert _rational_ruled(4, -3, -1) == set()
+        # and on an odd form the engine stops before the table
+        for chi, tau, form in ((-3, -1, "diag(1,-1,-1)"), (-4, 0, "diag(1,-1)")):
+            v = exclude_symplectic(_record(chi=chi, tau=tau, form=form, b1=4))
+            assert v.status is VerdictStatus.UNKNOWN, form
+            assert _survivors(v) == [], form
+
+    def test_odd_b1_matches_nothing(self):
+        assert _rational_ruled(3, -4, 0) == set()
+        assert _rational_ruled(5, 0, 0) == set()
+        v = exclude_symplectic(_record(chi=-4, tau=0, form="2H", b1=5))
+        assert v.status is VerdictStatus.NOT_EXISTS
+        assert v.reasons[1:] == ("no rational or ruled model matches (b1, chi, tau)",)
+
+    def test_genus_zero_lives_in_the_rational_branch(self):
+        assert all(m.kind is not SurfaceKind.RULED for m in ek_filter(0, 8, 4))
+        for c1sq in range(-12, 10):
+            for c2 in range(-4, 16):
+                got = ek_filter(0, c1sq, c2)
+                assert all(m.kind is not SurfaceKind.RULED for m in got), (c1sq, c2)
 
 
 class TestEkFilter:
@@ -130,6 +210,19 @@ class TestEkFilter:
         # K3 # 2 CP2bar has c1sq = -2 and c2 = 26
         got = ek_filter(0, -2, 26)
         assert SurfaceModel(SurfaceKind.K3, blowups=2) in set(got)
+
+    def test_agrees_with_rational_ruled_on_even_minimal_data(self):
+        # even form H, tau = 0: the table offers exactly the ruled surface over
+        # Sigma_g, and both engines report it once c1^2 < 0 (g >= 2)
+        for genus in range(1, 7):
+            b1, chi = 2 * genus, 4 * (1 - genus)
+            model = SurfaceModel(SurfaceKind.RULED, genus=genus)
+            assert _rational_ruled(b1, chi, 0) == {model}
+            if genus < 2:
+                continue
+            m = _record(chi=chi, tau=0, form="H", b1=b1)
+            assert _survivors(exclude_symplectic(m)) == [f"surviving model: {model}"]
+            assert f"surviving class: {model}" in exclude_complex(m).reasons
 
 
 def _even_grid():
