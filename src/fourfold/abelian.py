@@ -237,14 +237,14 @@ def _unit_pivots(
     """
     columns = range(generators)
     rows: dict[int, dict[int, int]] = {}
-    holders: list[set[int]] = [set() for _ in columns]
+    holders: dict[int, set[int]] = {}  # only the columns that occur
     queue: list[tuple[int, int]] = []
     for r, rel in enumerate(relations):
         row = {j: rel[j] for j in compress(columns, rel)}
         if row:
             rows[r] = row
             for j, x in row.items():
-                holders[j].add(r)
+                holders.setdefault(j, set()).add(r)
                 if x == 1 or x == -1:
                     queue.append((r, j))
     units = 0

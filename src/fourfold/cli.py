@@ -280,7 +280,7 @@ def _verdict_lines(label: str, v: StructureVerdict) -> list[str]:
 def _analysis(m: ManifoldInvariants, bound: int, assume_pi1_distinct: bool):
     # looked up on cli, not their home modules, so perfbench's tracer sees them
     return (
-        is_spin(m.form, m.h1),
+        is_spin(m),
         decide_almost_complex(m, bound=bound),
         exclude_symplectic(m, assume_pi1_distinct),
         exclude_complex(m, assume_pi1_distinct),

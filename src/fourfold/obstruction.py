@@ -155,7 +155,8 @@ class ManifoldInvariants:
 
     w2 is the mod-2 reduction of the second Stiefel-Whitney class over the
     H2 basis; None means "derive it" (zero for even forms, the
-    characteristic residue for odd unimodular forms).
+    characteristic residue for odd unimodular forms).  Validation holds it
+    to the one w2 rule, _w2_violation, and resolve_w2 reads it.
     """
 
     name: str
@@ -182,15 +183,15 @@ def wu_target(chi: int, tau: int) -> int:
     return 3 * tau + 2 * chi
 
 
-def is_spin(form: IntersectionForm, h1: AbelianGroup) -> SpinStatus:
-    """Spin-ness from the form parity.
+def is_spin(m: ManifoldInvariants) -> SpinStatus:
+    """Spin-ness of a valid record: spin means w2 = 0.
 
-    An even intersection form forces spin only when H1 has no 2-torsion;
-    with 2-torsion present the form cannot tell, hence Indeterminate.
+    An odd form has some x.x odd, so w2 != 0 by Wu's formula.  A zero w2
+    gives spin unless H1 has 2-torsion; then the record cannot tell.
     """
-    if h1.has_two_torsion:
-        return SpinStatus.INDETERMINATE
-    return SpinStatus.SPIN if form.is_even else SpinStatus.NOT_SPIN
+    if any(resolve_w2(m)) or not m.form.is_even:
+        return SpinStatus.NOT_SPIN
+    return SpinStatus.INDETERMINATE if m.h1.has_two_torsion else SpinStatus.SPIN
 
 
 def characteristic_residue(form: IntersectionForm) -> tuple[int, ...]:
@@ -217,17 +218,29 @@ def almost_complex_excluded(m: ManifoldInvariants) -> bool:
     return _mod8_obstruction(m.form, wu_target(m.chi, m.tau)) is not None
 
 
+def _w2_violation(form: IntersectionForm, w2: Sequence[int] | None) -> str | None:
+    """The one w2 rule: the first way w2 fails as a mod-2 class of the form, or None."""
+    if w2 is None:
+        if form.is_even or form.is_unimodular:
+            return None
+        return "w2 cannot be derived for an odd non-unimodular form; supply it explicitly"
+    if len(w2) != form.rank:
+        return f"w2 must have length {form.rank}, got {len(w2)}"
+    if any(v not in (0, 1) for v in w2):
+        return "w2 entries must be 0 or 1"
+    if form.is_unimodular and tuple(w2) != characteristic_residue(form):
+        return "w2 is not the characteristic residue of the form"
+    return None
+
+
 def resolve_w2(m: ManifoldInvariants) -> tuple[int, ...]:
-    """The mod-2 residue class Chern candidates must lie in."""
+    """The given or derived w2 of a valid record, the class Chern candidates lie in."""
+    require_valid(m)
     if m.w2 is not None:
-        return tuple(v & 1 for v in m.w2)
+        return m.w2
     if m.form.is_unimodular:
         return characteristic_residue(m.form)
-    if m.form.is_even:
-        return (0,) * m.form.rank
-    raise InvariantError(
-        ["w2 cannot be derived for an odd non-unimodular form; supply it explicitly"]
-    )
+    return (0,) * m.form.rank
 
 
 def _divisors(n: int) -> list[int]:
@@ -266,18 +279,12 @@ def decide_wu_existence(
 ) -> StructureVerdict:
     """Tiered decision: does some h = residue (mod 2) have q(h) = target?
 
-    The residue must be the characteristic residue when the form is
-    unimodular (anything else is inconsistent input).  Exists and NotExists
-    answers are exact; Unknown reports the exhausted search bound.
+    A residue that breaks the w2 rule (_w2_violation) raises InvariantError
+    with the rule's message.  Exists and NotExists answers are exact;
+    Unknown reports the exhausted search bound.
     """
-    residue = tuple(r & 1 for r in residue)
-    if len(residue) != form.rank:
-        raise InvariantError([f"w2 must have length {form.rank}"])
-
-    if form.is_unimodular and residue != characteristic_residue(form):
-        raise InvariantError(
-            ["w2 is not the characteristic residue of the unimodular form"]
-        )
+    if (violation := _w2_violation(form, residue)) is not None:
+        raise InvariantError([violation])
     obstructed = _mod8_obstruction(form, target)
     if obstructed is not None:
         return StructureVerdict.not_exists(obstructed)
@@ -301,7 +308,6 @@ def decide_almost_complex(
     m: ManifoldInvariants, bound: int = DEFAULT_BOUND
 ) -> StructureVerdict:
     """Almost-complex existence for a valid record (validated once per record)."""
-    require_valid(m)
     return decide_wu_existence(
         m.form, resolve_w2(m), wu_target(m.chi, m.tau), bound
     )
@@ -330,9 +336,8 @@ def enumerate_chern_classes(
     negation.  For a rank-2 hyperbolic form with nonzero target the divisor
     enumeration is complete and the bound is ignored.
     """
-    require_valid(m)
-    form = m.form
     residue = resolve_w2(m)
+    form = m.form
     target = wu_target(m.chi, m.tau)
 
     # every divisor pair and sweep hit has square target by construction
@@ -376,17 +381,8 @@ def validate_invariants(m: ManifoldInvariants) -> list[str]:
                 f"H1 mismatch: presentation abelianizes to {computed}, "
                 f"record says {m.h1}"
             )
-    if m.w2 is None:
-        try:
-            resolve_w2(m)
-        except InvariantError as exc:
-            violations.extend(exc.violations)
-    elif len(m.w2) != b2:
-        violations.append(f"w2 must have length {b2}, got {len(m.w2)}")
-    elif any(v not in (0, 1) for v in m.w2):
-        violations.append("w2 entries must be 0 or 1")
-    elif m.form.is_unimodular and tuple(m.w2) != characteristic_residue(m.form):
-        violations.append("w2 is not the characteristic residue of the form")
+    if (w2_violation := _w2_violation(m.form, m.w2)) is not None:
+        violations.append(w2_violation)
     return violations
 
 

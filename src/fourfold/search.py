@@ -56,15 +56,6 @@ def _flatten(rows: Sequence[Sequence[int]]) -> list[int]:
     return [x for row in rows for x in row]
 
 
-def _check_inputs(form: IntersectionForm, residues: Sequence[int], bound: int) -> None:
-    if len(residues) != form.rank:
-        raise ValueError(f"residue vector must have length {form.rank}")
-    if any(r not in (0, 1) for r in residues):
-        raise ValueError("residues must be 0 or 1")
-    if bound < 0:
-        raise ValueError("search bound must be nonnegative")
-
-
 def find_minimal_witness(
     form: IntersectionForm,
     residues: Sequence[int],
@@ -89,9 +80,12 @@ def find_minimal_witness(
     (_block_search): a first-hit sweep of the whole box that walks at most
     as many prefixes as the block tables have points, then, when that sweep
     is cut short, the tables, which give the box's lexicographically first
-    solution.  Boxes that hold the same vectors are decided once.
+    solution.  Boxes that hold the same vectors are decided once.  The
+    residues are trusted: the obstruction layer's w2 rule checks them.  A
+    negative bound would never end the deepening, so it is refused.
     """
-    _check_inputs(form, residues, bound)
+    if bound < 0:
+        raise ValueError("search bound must be nonnegative")
     if not form.rank:
         return () if target == 0 else None
     first = _block_search(form, list(residues), target)
@@ -282,9 +276,10 @@ def enumerate_witnesses(
     A form of two or more blocks is listed block by block (see
     _block_listing).  A form of one block is listed by one all_hits sweep,
     which solves the last coordinate; its table would evaluate every point
-    of the box.
+    of the box.  The residues are trusted, as in find_minimal_witness.
     """
-    _check_inputs(form, residues, bound)
+    if bound < 0:
+        raise ValueError("search bound must be nonnegative")
     if len(form.blocks) < 2:
         qflat = _flatten(form.matrix.entries())
         return _pure.all_hits(qflat, list(residues), form.rank, bound, target)

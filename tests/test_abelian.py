@@ -2,6 +2,7 @@
 
 import random
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -344,6 +345,18 @@ class TestUnitPivotPass:
     def test_no_unit_leaves_the_whole_matrix(self, monkeypatch):
         p = Presentation(2, ((2, 0), (0, 3)))
         assert self._remainders(monkeypatch, p) == (AbelianGroup(0, (6,)), [[[2, 0], [0, 3]]])
+
+    def test_memory_follows_the_entries_not_the_generators(self):
+        # a presentation with no relations holds no entries, so the pass
+        # indexes no column, however many generators it declares
+        tracemalloc.start()
+        try:
+            group = abelianize(Presentation(10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group == AbelianGroup(10**6)
+        assert peak < 2**20
 
 
 class TestWords:

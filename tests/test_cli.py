@@ -464,6 +464,19 @@ class TestValidate:
         assert "invalid" in out
         assert "w2 cannot be derived" in out
 
+    def test_huge_generator_count(self, capsys, tmp_path):
+        # gens costs nothing until a relation names a generator
+        n = 10**12
+        path = tmp_path / "huge.man"
+        path.write_text(
+            f"name = big\nchi = {4 - 2 * n}\ntau = 0\nform = H\nb1 = {n}\n"
+            f"h1 = Z^{n}\nw2 = 0\ngens = {n}\n",
+            encoding="ascii",
+        )
+        code, out, _ = run(capsys, "validate", "--file", str(path))
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "status             ok"
+
     def test_tampered_record_blocks_analyze(self, capsys, tmp_path):
         path = tmp_path / "bad.man"
         path.write_text(GOOD_FILE.replace("chi = -4", "chi = -3"), encoding="ascii")

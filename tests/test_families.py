@@ -100,7 +100,7 @@ class TestRecords:
     def test_all_spin(self):
         for fid in _grid(limit=4):
             m = family_invariants(fid)
-            assert is_spin(m.form, m.h1) is SpinStatus.SPIN, str(fid)
+            assert is_spin(m) is SpinStatus.SPIN, str(fid)
 
     def test_presentations_abelianize_to_h1(self):
         # the benchmark's family grid, up to M4 n=80 (M3 has no presentation)

@@ -53,16 +53,45 @@ class TestWuTarget:
 
 class TestSpin:
     def test_even_form_torsion_free(self):
-        assert is_spin(build_form("H"), AbelianGroup(2)) is SpinStatus.SPIN
+        m = _record(chi=0, form="H", b1=2)
+        assert is_spin(m) is SpinStatus.SPIN
 
     def test_odd_form(self):
-        assert is_spin(build_form("diag(1)"), AbelianGroup(0)) is SpinStatus.NOT_SPIN
+        m = _record(chi=3, tau=1, form="diag(1)")
+        assert is_spin(m) is SpinStatus.NOT_SPIN
 
     def test_two_torsion_blocks_the_call(self):
-        got = is_spin(build_form("H"), AbelianGroup(0, (2,)))
-        assert got is SpinStatus.INDETERMINATE
+        m = _record(form="H", h1=AbelianGroup(0, (2,)))
+        assert is_spin(m) is SpinStatus.INDETERMINATE
         # odd torsion does not interfere
-        assert is_spin(build_form("2H"), AbelianGroup(1, (3,))) is SpinStatus.SPIN
+        m = _record(chi=4, form="2H", b1=1, h1=AbelianGroup(1, (3,)))
+        assert is_spin(m) is SpinStatus.SPIN
+
+    def test_odd_form_with_two_torsion_is_not_spin(self):
+        # some x.x is odd, so w2 != 0 whatever the torsion
+        m = _record(chi=3, tau=1, form="diag(1)", h1=AbelianGroup(0, (2,)))
+        assert is_spin(m) is SpinStatus.NOT_SPIN
+
+    def test_even_form_with_nonzero_w2_is_not_spin(self):
+        m = _record(chi=3, tau=1, form="diag(2)", w2=(1,))
+        assert validate_invariants(m) == []
+        assert is_spin(m) is SpinStatus.NOT_SPIN
+
+    def test_enriques_blown_up_is_not_spin(self):
+        # Enriques (-E8 + H, H1 = Z/2) stays Indeterminate; blown up, its
+        # form is odd and the 2-torsion no longer hides w2
+        neg_e8 = [[-x for x in row] for row in E8_ROWS]
+        enriques = IntersectionForm(IntegerMatrix(block_sum(neg_e8, H_ROWS)))
+        blown_up = IntersectionForm(IntegerMatrix(block_sum(neg_e8, H_ROWS, [[-1]])))
+        torsion = AbelianGroup(0, (2,))
+        m = _record(chi=12, tau=-8, form=enriques, h1=torsion)
+        assert is_spin(m) is SpinStatus.INDETERMINATE
+        m = _record(chi=13, tau=-9, form=blown_up, h1=torsion)
+        assert is_spin(m) is SpinStatus.NOT_SPIN
+
+    def test_invalid_record_raises(self):
+        with pytest.raises(InvariantError, match="characteristic residue"):
+            is_spin(_record(form="H", w2=(1, 1)))
 
 
 class TestCharacteristicResidue:
@@ -146,7 +175,7 @@ class TestResolveW2:
         assert resolve_w2(m) == (0, 0)
 
     def test_unimodular_derives_characteristic(self):
-        m = _record(chi=4, tau=2, form="diag(1,1)", b1=1)
+        m = _record(chi=2, tau=2, form="diag(1,1)", b1=1)
         assert resolve_w2(m) == (1, 1)
 
     def test_even_non_unimodular_derives_zero(self):
@@ -157,6 +186,11 @@ class TestResolveW2:
         m = _record(form="diag(3)", chi=3, tau=1, b1=0)
         with pytest.raises(InvariantError):
             resolve_w2(m)
+
+    def test_invalid_record_raises(self):
+        # a valid w2 on a record whose Euler characteristic is wrong
+        with pytest.raises(InvariantError, match="Euler characteristic"):
+            resolve_w2(_record(chi=5, w2=(0, 0)))
 
 
 class TestDecideWuExistence:
@@ -225,6 +259,22 @@ class TestDecideWuExistence:
             decide_wu_existence(build_form("H"), (1, 1), -8)
         with pytest.raises(InvariantError):
             decide_wu_existence(build_form("H"), (0,), -8)
+
+    @pytest.mark.parametrize(
+        "residue, target, message",
+        [
+            ((2, 0), 0, "w2 entries must be 0 or 1"),
+            ((0,), -8, "w2 must have length 2, got 1"),
+            ((1, 1), -8, "w2 is not the characteristic residue of the form"),
+        ],
+        ids=["not-a-bit", "short", "not-characteristic"],
+    )
+    def test_reports_the_validation_message(self, residue, target, message):
+        # the one w2 rule: the same message validate_invariants gives a record
+        with pytest.raises(InvariantError) as caught:
+            decide_wu_existence(build_form("H"), residue, target)
+        assert caught.value.violations == [message]
+        assert validate_invariants(_record(w2=residue)) == [message]
 
     def test_non_unimodular_goes_straight_to_search(self):
         v = decide_wu_existence(build_form("diag(2)"), (0,), 8)

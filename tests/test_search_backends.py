@@ -59,13 +59,13 @@ class TestGuards:
         assert enumerate_witnesses(q, (0,), 3000, target) == [(-2,), (2,)]
 
     def test_input_validation(self):
+        # residues are the obstruction layer's to check; a negative bound
+        # would never end the deepening loop
         q = build_form("H")
         with pytest.raises(ValueError):
-            find_minimal_witness(q, (0,), 4, 0)
-        with pytest.raises(ValueError):
-            find_minimal_witness(q, (0, 2), 4, 0)
-        with pytest.raises(ValueError):
             find_minimal_witness(q, (0, 0), -1, 0)
+        with pytest.raises(ValueError):
+            enumerate_witnesses(q, (0, 0), -1, 0)
 
 
 class TestSearchStrategy:
