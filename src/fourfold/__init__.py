@@ -13,7 +13,6 @@ from .abelian import (
     abelianize,
     parse_abelian_group,
     parse_word,
-    smith_normal_form,
 )
 from .classification import (
     SurfaceKind,
@@ -84,7 +83,6 @@ __all__ = [
     "is_spin",
     "parse_abelian_group",
     "parse_word",
-    "smith_normal_form",
     "validate_invariants",
     "wu_target",
 ]

@@ -1,17 +1,8 @@
-"""Smith normal form and finitely generated abelian groups.
+"""Finitely generated abelian groups and the abelianization of presentations.
 
-One elimination routine brings an integer matrix to Smith normal form:
-diagonal entries nonnegative and arranged in a divisibility chain
-d1 | d2 | ... .  It is one loop per pivot position that pivots on a
-smallest nonzero entry, finishes each reduction of the pivot's column and
-row, and picks again whenever a remainder is left, so coefficients stay
-small on dense matrices.  It records the unimodular transforms only when
-asked: smith_normal_form returns the full factorization D = U * M * V.
-abelianize first clears the unit pivots of the relation rows on sparse
-{column: entry} rows (Havas, Holt and Rees, "Recognizing badly presented
-Z-modules", Linear Algebra Appl. 1993), so a presentation costs about as
-much as its nonzero entries.  It runs the elimination without transforms
-on the rows that remain, and reads torsion and free rank off the diagonal.
+abelianize reads the group a presentation's relation rows present by one
+Smith elimination over the sparse rows, and torsion and free rank off the
+pivots it drops; the other functions parse groups and relator words.
 """
 
 from __future__ import annotations
@@ -19,9 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from typing import Sequence
 
-from .forms import _SPACE, IntegerMatrix, read_int
+from .forms import _SPACE, read_int
 
 
 _INT_TYPE = frozenset({int})
@@ -29,113 +21,6 @@ _INT_TYPE = frozenset({int})
 
 class PresentationError(ValueError):
     """Invalid presentation data or text."""
-
-
-def _pivot(a: list[list[int]], start: int) -> tuple[int, int] | None:
-    """A smallest nonzero entry of the active block, or None when it is zero.
-
-    A unit is as small as an entry can be, so the scan stops at the first.
-    """
-    best = None
-    best_abs = 0
-    for i in range(start, len(a)):
-        row = a[i]
-        for j in range(start, len(row)):
-            x = row[j]
-            if x:
-                if x == 1 or x == -1:
-                    return i, j
-                if best is None or abs(x) < best_abs:
-                    best, best_abs = (i, j), abs(x)
-    return best
-
-
-def _eliminate(
-    a: list[list[int]],
-    u: list[list[int]] | None = None,
-    v: list[list[int]] | None = None,
-) -> None:
-    """Bring the rows a to Smith normal form in place.
-
-    Optional identity matrices u and v take every row and column operation
-    too, so that afterwards a = u * a_before * v.  One loop per pivot
-    position t: a smallest nonzero entry of the active block is moved to
-    (t, t) and made positive; the whole column below it is reduced, then
-    row t, each entry by its nearest multiple of the pivot.  Whenever a
-    reduction leaves a remainder, which is at most half the pivot, the
-    smallest entry is picked again, so intermediate entries stay small.
-    A pivot 1 divides everything; any other pivot must divide the rest of
-    the block, and else the first row it does not divide is added to row t
-    and the pick starts again.  The pivot never grows and shrinks at least
-    every second pick, so the loop ends.
-    """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    left = (a,) if u is None else (a, u)  # matrices that take row operations
-    right = (a,) if v is None else (a, v)  # matrices that take column operations
-    for t in range(min(rows, cols)):
-        while True:
-            pick = _pivot(a, t)
-            if pick is None:
-                return
-            r, c = pick
-            for m in left:
-                m[t], m[r] = m[r], m[t]
-            for m in right:
-                for row in m:
-                    row[t], row[c] = row[c], row[t]
-            if a[t][t] < 0:
-                for m in left:
-                    m[t] = [-x for x in m[t]]
-            pivot = a[t][t]
-            half = pivot // 2
-            left_over = False
-            for i in range(t + 1, rows):
-                f = (a[i][t] + half) // pivot
-                if f:
-                    for m in left:
-                        m[i] = [x - f * y for x, y in zip(m[i], m[t])]
-                if a[i][t]:
-                    left_over = True
-            if left_over:
-                continue
-            # the column is clear below the pivot, so a column operation
-            # changes only row t of a
-            top = a[t]
-            for j in range(t + 1, cols):
-                f = (top[j] + half) // pivot
-                if f:
-                    top[j] -= f * pivot
-                    if v is not None:
-                        for row in v:
-                            row[j] -= f * row[t]
-            if any(top[t + 1 :]):
-                continue
-            if pivot == 1:
-                break
-            offender = next(
-                (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1 :])),
-                None,
-            )
-            if offender is None:
-                break
-            for m in left:
-                m[t] = [x + y for x, y in zip(m[t], m[offender])]
-
-
-def smith_normal_form(
-    m: IntegerMatrix,
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (D, U, V) with D = U m V (matrix products) in Smith normal form.
-
-    U and V are unimodular; D is diagonal with nonnegative entries satisfying
-    d1 | d2 | ... .
-    """
-    a = m.to_lists()
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-    _eliminate(a, u, v)
-    return IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(v)
 
 
 @dataclass(frozen=True)
@@ -223,80 +108,114 @@ class Presentation:
                         raise PresentationError(f"relation entries must be ints, got {x!r}")
 
 
-def _unit_pivots(
-    relations: Sequence[Sequence[int]], generators: int
-) -> tuple[list[dict[int, int]], int]:
-    """Clear every unit pivot of the relation rows; return the rows left and the count.
+def _smallest(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """(row, column) of a nonzero entry of least absolute value; a unit ends the scan."""
+    least = 0
+    for r, row in rows.items():
+        x = min(map(abs, row.values()))
+        if not least or x < least:
+            best, least = r, x
+            if x == 1:
+                break
+    return best, next(k for k, x in rows[best].items() if abs(x) == least)
 
-    Rows are kept sparse as {column: entry} dicts, with a column -> rows
-    index.  A row with a +-1 entry at column j is subtracted from every other
-    row that holds j, as many times as clears that row's entry at j; then
-    the pivot row and generator j are dropped.  Each step is elementary row operations followed
-    by the removal of a unit pivot's row and column, so the group presented
-    does not change.  Entries that become +-1 are queued as pivots too.
+
+def abelianize(p: Presentation) -> AbelianGroup:
+    """Abelianization of a presentation: Z^generators modulo the relation rows.
+
+    One Smith elimination over sparse {column: entry} rows with a column ->
+    rows index, so a presentation costs about as much as its nonzero
+    entries (Havas, Holt and Rees, "Recognizing badly presented Z-modules",
+    Linear Algebra Appl. 1993).  Each pick takes a queued +-1 entry, in the
+    order they were found, and only when none is left a smallest entry.
+    Every other row that holds the pivot's column loses the nearest multiple
+    of the pivot row.  Once the column is clear, a column operation changes
+    only the pivot row, so that row is reduced in place the same way; a
+    unit pivot clears it outright.  A remainder is less than the pivot, so
+    the loop picks again and ends.  A pivot that stands alone is dropped
+    with its row and column, and is a cyclic summand of order |pivot|.  The
+    free rank is the generators minus the pivots; the orders above 1 are
+    put in a divisibility chain by pairwise gcd and lcm.
     """
-    columns = range(generators)
+    columns = range(p.generators)
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # only the columns that occur
-    queue: list[tuple[int, int]] = []
-    for r, rel in enumerate(relations):
+    units: list[tuple[int, int]] = []
+    for r, rel in enumerate(p.relations):
         row = {j: rel[j] for j in compress(columns, rel)}
         if row:
             rows[r] = row
             for j, x in row.items():
                 holders.setdefault(j, set()).add(r)
                 if x == 1 or x == -1:
-                    queue.append((r, j))
-    units = 0
-    for r, j in queue:  # the loop also takes the pivots appended while it runs
-        row = rows.get(r)
-        if row is None or row.get(j) not in (1, -1):
-            continue  # the row is gone, or its entry at j has changed
-        sign = row[j]
+                    units.append((r, j))
+    pivots = 0
+    orders: list[int] = []
+    head = 0
+    while rows:
+        while head < len(units):  # the queue also takes the units found while it runs
+            r, j = units[head]
+            head += 1
+            row = rows.get(r)
+            if row is not None and row.get(j) in (1, -1):
+                break  # else the row is gone, or its entry at j has changed
+        else:
+            r, j = _smallest(rows)
+            row = rows[r]
+        pivot = row[j]
+        size = abs(pivot)
+        sign = pivot // size
+        half = size // 2
+        left = []  # the other rows that still hold j
         for s in holders[j]:
             if s == r:
                 continue
             other = rows[s]
-            factor = other[j] * sign  # other[j] - factor * sign == 0
-            for k, x in row.items():
-                y = other.get(k, 0) - factor * x
-                if y:
-                    if k not in other:
-                        holders[k].add(s)
-                    other[k] = y
-                    if y == 1 or y == -1:
-                        queue.append((s, k))
-                else:
-                    del other[k]
-                    if k != j:  # holders[j] is being walked; it is cleared below
-                        holders[k].discard(s)
-            if not other:
-                del rows[s]
+            factor = (other[j] + half) // size * sign  # other[j] - factor * pivot is least
+            if factor:
+                for k, x in row.items():
+                    y = other.get(k, 0) - factor * x
+                    if y:
+                        if k not in other:
+                            holders[k].add(s)
+                        other[k] = y
+                        if y == 1 or y == -1:
+                            units.append((s, k))
+                    else:
+                        del other[k]
+                        if k != j:  # holders[j] is being walked; it is reset below
+                            holders[k].discard(s)
+                if not other:
+                    del rows[s]
+            if j in other:
+                left.append(s)
+        if left:
+            holders[j] = {r, *left}
+            continue
+        if size > 1:
+            for k, x in list(row.items()):
+                if k != j:
+                    y = (x + half) % size - half
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+                        holders[k].discard(r)
+            if len(row) > 1:
+                holders[j] = {r}
+                continue
+            orders.append(size)
         for k in row:
             holders[k].discard(r)
-        holders[j].clear()  # every other row now has 0 at j
-        del rows[r]
-        units += 1
-    return list(rows.values()), units
-
-
-def abelianize(p: Presentation) -> AbelianGroup:
-    """Abelianization of a presentation, via the Smith normal form.
-
-    The group is Z^generators modulo the row span of the relation matrix.
-    Unit pivots are cleared first on the sparse rows (_unit_pivots); the
-    rows that remain go to _eliminate as a dense matrix over the columns
-    they still hold.  The free rank is generators minus the unit pivots and
-    the nonzero pivots of the remainder, and the remainder's pivots greater
-    than 1 are the torsion coefficients.
-    """
-    rows, units = _unit_pivots(p.relations, p.generators)
-    columns = sorted({k for row in rows for k in row})
-    a = [[row.get(k, 0) for k in columns] for row in rows]
-    _eliminate(a)
-    nonzero = [a[i][i] for i in range(min(len(a), len(columns))) if a[i][i]]
-    torsion = tuple(x for x in nonzero if x > 1)
-    return AbelianGroup(p.generators - units - len(nonzero), torsion)
+        del holders[j], rows[r]
+        pivots += 1
+    for i, a in enumerate(orders):
+        for k in range(i + 1, len(orders)):
+            b = orders[k]
+            g = gcd(a, b)
+            a, orders[k] = g, a // g * b
+        orders[i] = a
+    return AbelianGroup(p.generators - pivots, tuple(x for x in orders if x > 1))
 
 
 _WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")

@@ -136,6 +136,11 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     )
 
 
+def _w2_text(w2: tuple[int, ...]) -> str:
+    """A w2 class as the file and the report write it: comma-joined bits, or 0 for zero."""
+    return ",".join(map(str, w2)) if any(w2) else "0"
+
+
 def format_manifold_file(m: ManifoldInvariants) -> str:
     """Serialize a record to the manifold file format (parse round-trips)."""
     lines = [
@@ -148,10 +153,7 @@ def format_manifold_file(m: ManifoldInvariants) -> str:
         f"h1 = {m.h1}",
     ]
     if m.w2 is not None:
-        if any(m.w2):
-            lines.append("w2 = " + ",".join(str(v) for v in m.w2))
-        else:
-            lines.append("w2 = 0")
+        lines.append(f"w2 = {_w2_text(m.w2)}")
     if m.presentation is not None:
         lines.append(f"gens = {m.presentation.generators}")
         lines.extend(
@@ -260,8 +262,7 @@ def _manifold_lines(m: ManifoldInvariants) -> list[str]:
     lines.append(_kv("form", m.form.descriptor(), 2))
     lines.append(_kv("H1", m.h1, 2))
     if m.w2 is not None:
-        w2_text = ",".join(str(v) for v in m.w2) if any(m.w2) else "0"
-        lines.append(_kv("w2", w2_text, 2))
+        lines.append(_kv("w2", _w2_text(m.w2), 2))
     return lines
 
 

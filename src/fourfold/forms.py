@@ -82,9 +82,6 @@ class IntegerMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self._data]
-
     @property
     def is_symmetric(self) -> bool:
         if self._rows != self._cols:

@@ -2,13 +2,14 @@
 
 Nothing in here calls the decision engines under test: determinants come
 from cofactor expansion (of large matrices, from Gaussian elimination over
-the rationals), Smith diagonals from the gcds of minors
-(determinantal divisors), signatures from Descartes' rule of signs on the
-integer characteristic polynomial, solvability over a box comes from an
-exact per-block value-set convolution, and the raw sweep oracles walk the
-box with numpy or with itertools.product.  Matrix products are plain list
-arithmetic.  These deliberately use different algorithms from the package
-so that agreement is evidence, not circularity.
+the rationals), ranks over Q and over GF(p) from Gaussian elimination,
+Smith diagonals from the gcds of minors (determinantal divisors),
+signatures from Descartes' rule of signs on the integer characteristic
+polynomial, solvability over a box comes from an exact per-block value-set
+convolution, and the raw sweep oracles walk the box with numpy or with
+itertools.product.  Matrix products are plain list arithmetic.  These
+deliberately use different algorithms from the package so that agreement
+is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -62,6 +63,39 @@ def rational_determinant(rows: Sequence[Sequence[int]]) -> int:
             if f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[t])]
     return int(det)
+
+
+def _rank(a: list[list], inverse, reduce) -> int:
+    """Rank of the rows a over a field, by Gaussian elimination in place.
+
+    inverse(x) is the field inverse of a nonzero entry x, and reduce(x)
+    brings an entry back to the field's representatives.
+    """
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pick = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pick is None:
+            continue
+        a[rank], a[pick] = a[pick], a[rank]
+        scale = inverse(a[rank][c])
+        for i in range(rank + 1, len(a)):
+            f = reduce(a[i][c] * scale)
+            if f:
+                a[i] = [reduce(x - f * y) for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q, by Gaussian elimination over Fraction."""
+    return _rank([[Fraction(x) for x in row] for row in rows], lambda x: 1 / x, lambda x: x)
+
+
+def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p) for a prime p, by Gaussian elimination on residues mod p."""
+    return _rank(
+        [[x % p for x in row] for row in rows], lambda x: pow(x, -1, p), lambda x: x % p
+    )
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -261,7 +295,7 @@ def numpy_box_exists(
 ) -> bool:
     """Raw chunked sweep of the whole box with numpy; small ranks only."""
     n = form.rank
-    q = np.array(form.matrix.to_lists(), dtype=np.int64)
+    q = np.array(form.matrix.entries(), dtype=np.int64)
     axes = [np.array(_allowed_values(r, bound), dtype=np.int64) for r in residues]
     if any(len(a) == 0 for a in axes):
         return False

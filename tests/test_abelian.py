@@ -1,5 +1,6 @@
-"""Smith normal form, abelianization, and presentation parsing."""
+"""Abelianization against independent oracles, and presentation parsing."""
 
+import math
 import random
 import signal
 import tracemalloc
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourfold import abelian
 from fourfold.abelian import (
     AbelianGroup,
     Presentation,
@@ -16,13 +16,17 @@ from fourfold.abelian import (
     abelianize,
     parse_abelian_group,
     parse_word,
-    smith_normal_form,
 )
 from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix
-from oracles import determinantal_divisors, matmul, rational_determinant
+from oracles import (
+    determinantal_divisors,
+    modular_rank,
+    rational_determinant,
+    rational_rank,
+)
 
-_LIMIT_S = 60  # the slowest test here takes about a second
+_LIMIT_S = 60  # the slowest test here takes a few seconds
 
 
 class _Overran(BaseException):
@@ -61,83 +65,16 @@ def integer_matrices(draw, max_n=5, magnitude=20):
 
 @st.composite
 def sparse_unit_matrices(draw, max_n=6):
-    """Mostly zeros and units, so the unit-pivot pass fills in, cancels rows and leaves some."""
+    """Mostly zeros and units, so the unit pivots fill in, cancel rows and leave some."""
     rows = draw(st.integers(min_value=1, max_value=max_n))
     cols = draw(st.integers(min_value=1, max_value=max_n))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
     return IntegerMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
 
 
-def _product(*factors):
-    return matmul(*(f.entries() for f in factors))
-
-
-def _diagonal_pivots(d):
-    return [d.entry(i, i) for i in range(min(d.rows, d.cols))]
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        m = IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        d, u, v = smith_normal_form(m)
-        assert d == m
-        assert _product(u, m, v) == d.to_lists()
-
-    def test_known_diagonal(self):
-        # diag(2, 3) is not in normal form; the chain forces (1, 6)
-        d, u, v = smith_normal_form(IntegerMatrix([[2, 0], [0, 3]]))
-        assert _diagonal_pivots(d) == [1, 6]
-        assert _product(u, IntegerMatrix([[2, 0], [0, 3]]), v) == d.to_lists()
-
-    def test_frozen_surface_bundle_relations(self):
-        m = IntegerMatrix(
-            [
-                (0, 0, 1, -1, 0, 0),
-                (0, 0, -1, 1, 0, 0),
-                (0, 0, 0, 1, 0, 3),
-            ]
-        )
-        d, u, v = smith_normal_form(m)
-        assert _diagonal_pivots(d) == [1, 1, 0]
-        assert _product(u, m, v) == d.to_lists()
-
-    def test_zero_matrix(self):
-        m = IntegerMatrix([[0, 0], [0, 0]])
-        d, u, v = smith_normal_form(m)
-        assert _diagonal_pivots(d) == [0, 0]
-        assert _product(u, m, v) == d.to_lists()
-
-    @given(integer_matrices())
-    @settings(max_examples=80)
-    def test_factorization_properties(self, m):
-        d, u, v = smith_normal_form(m)
-        # the factorization itself
-        assert _product(u, m, v) == d.to_lists()
-        # U and V are unimodular
-        assert abs(u.determinant()) == 1
-        assert abs(v.determinant()) == 1
-        # D is diagonal with nonnegative entries
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if i != j:
-                    assert d.entry(i, j) == 0
-        pivots = _diagonal_pivots(d)
-        assert all(x >= 0 for x in pivots)
-        # divisibility chain over the nonzero prefix, zeros only at the end
-        nonzero = [x for x in pivots if x != 0]
-        assert pivots[: len(nonzero)] == nonzero
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-
-    @given(integer_matrices(max_n=4, magnitude=12))
-    @settings(max_examples=40)
-    def test_pivots_invariant_under_row_shuffle(self, m):
-        rows = list(m.to_lists())
-        rng = random.Random(11)
-        rng.shuffle(rows)
-        d1, _, _ = smith_normal_form(m)
-        d2, _, _ = smith_normal_form(IntegerMatrix(rows))
-        assert _diagonal_pivots(d1) == _diagonal_pivots(d2)
+def _abelianize_rows(rows):
+    rows = [tuple(row) for row in rows]
+    return abelianize(Presentation(len(rows[0]), tuple(rows)))
 
 
 def _smith_diagonal(rows):
@@ -151,8 +88,82 @@ def _smith_diagonal(rows):
 
 def _group(m):
     """The group the rows of m present, from the determinantal divisors alone."""
-    nonzero = [x for x in _smith_diagonal(m.to_lists()) if x]
+    nonzero = [x for x in _smith_diagonal(m.entries()) if x]
     return AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+def _small_primes(n, bound=2**16):
+    """The primes below bound that divide n, by trial division."""
+    out = []
+    p = 2
+    while p < bound and p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if 1 < n < bound:
+        out.append(n)
+    return out
+
+
+def _check_ranks(rows, group):
+    """The group against ranks over Q and over GF(p), which share no code with abelianize.
+
+    The free rank is the columns minus the rank over Q, and the summands
+    Z/t with p | t number the rank over Q minus the rank over GF(p); p runs
+    over the primes up to 7 and those below 2**16 that divide a summand.
+    """
+    rank = rational_rank(rows)
+    assert group.rank == len(rows[0]) - rank
+    primes = {2, 3, 5, 7}.union(*(_small_primes(t) for t in group.torsion))
+    for p in sorted(primes):
+        assert sum(t % p == 0 for t in group.torsion) == rank - modular_rank(rows, p), p
+    return rank
+
+
+class TestSmithNormalForm:
+    """abelianize reads off the Smith diagonal that the determinantal divisors give."""
+
+    def test_identity(self):
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _smith_diagonal(rows) == [1, 1, 1]
+        assert _abelianize_rows(rows) == AbelianGroup(0)
+
+    def test_known_diagonal(self):
+        # diag(2, 3) is not in normal form; the chain forces (1, 6)
+        assert _smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+        assert _abelianize_rows([[2, 0], [0, 3]]) == AbelianGroup(0, (6,))
+
+    def test_frozen_surface_bundle_relations(self):
+        rows = [
+            (0, 0, 1, -1, 0, 0),
+            (0, 0, -1, 1, 0, 0),
+            (0, 0, 0, 1, 0, 3),
+        ]
+        assert _smith_diagonal(rows) == [1, 1, 0]
+        assert _abelianize_rows(rows) == AbelianGroup(4)
+
+    def test_zero_matrix(self):
+        assert _smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
+        assert _abelianize_rows([[0, 0], [0, 0]]) == AbelianGroup(2)
+
+    @given(integer_matrices())
+    @settings(max_examples=80)
+    def test_factorization_properties(self, m):
+        rows = m.entries()
+        group = _abelianize_rows(rows)
+        rank = _check_ranks(rows, group)
+        assert sum(1 for x in _smith_diagonal(rows) if x) == rank
+        assert group == _group(m)
+
+    @given(integer_matrices(max_n=4, magnitude=12))
+    @settings(max_examples=40)
+    def test_pivots_invariant_under_row_shuffle(self, m):
+        rows = list(m.entries())
+        random.Random(11).shuffle(rows)
+        assert _smith_diagonal(rows) == _smith_diagonal(m.entries())
+        assert _abelianize_rows(rows) == _abelianize_rows(m.entries())
 
 
 class TestAgainstDeterminantalDivisors:
@@ -164,11 +175,10 @@ class TestAgainstDeterminantalDivisors:
     @example(IntegerMatrix([[6, 10, 15], [2, 4, 8]]))
     @example(IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
     def test_diagonal_and_group(self, m):
-        rows = m.to_lists()
-        expected = _smith_diagonal(rows)
-        d, _, _ = smith_normal_form(m)
-        assert _diagonal_pivots(d) == expected
-        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == _group(m)
+        group = _abelianize_rows(m.entries())
+        assert group == _group(m)
+        nonzero = [x for x in _smith_diagonal(m.entries()) if x]
+        assert group.torsion == tuple(x for x in nonzero if x > 1)
 
     @given(sparse_unit_matrices())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -178,7 +188,7 @@ class TestAgainstDeterminantalDivisors:
     @example(IntegerMatrix([[2, 0], [0, 3]]))  # no unit: the whole matrix remains
     @example(IntegerMatrix([[0, 0, 0]]))  # no nonzero entry: every generator is free
     def test_unit_pivot_pass(self, m):
-        assert abelianize(Presentation(m.cols, tuple(map(tuple, m.to_lists())))) == _group(m)
+        assert _abelianize_rows(m.entries()) == _group(m)
 
 
 def _random_rows(seed, rows, cols, magnitude):
@@ -195,9 +205,9 @@ def _sparse_rows():
 class TestLargeMatrices:
     """Matrices on which swap-and-restart elimination blew up its coefficients.
 
-    D = U M V with U and V unimodular, and D diagonal, nonnegative and a
-    divisibility chain, make D the Smith normal form of M whatever the
-    elimination did on the way.
+    The group is checked against ranks over Q and GF(p) (_check_ranks), and
+    on a square matrix of full rank the order of the torsion is |det|, which
+    also covers the primes too large to find by trial division.
     """
 
     @pytest.mark.parametrize(
@@ -207,24 +217,15 @@ class TestLargeMatrices:
             _sparse_rows(),
             _random_rows(30, 30, 60, 10),
             _random_rows(60, 60, 30, 10),
+            _random_rows(80, 80, 80, 3),
         ],
-        ids=["dense-45x45", "sparse-40x40", "30x60", "60x30"],
+        ids=["dense-45x45", "sparse-40x40", "30x60", "60x30", "dense-80x80"],
     )
     def test_certified_smith_form(self, rows):
-        m = IntegerMatrix(rows)
-        d, u, v = smith_normal_form(m)
-        assert _product(u, m, v) == d.to_lists()
-        assert abs(rational_determinant(u.to_lists())) == 1
-        assert abs(rational_determinant(v.to_lists())) == 1
-        diagonal = _diagonal_pivots(d)
-        assert all(
-            x == 0 for i, row in enumerate(d.to_lists()) for j, x in enumerate(row) if i != j
-        )
-        assert all(x >= 0 for x in diagonal)
-        assert all(b % a == 0 if a else b == 0 for a, b in zip(diagonal, diagonal[1:]))
-        nonzero = [x for x in diagonal if x]
-        group = AbelianGroup(m.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
-        assert abelianize(Presentation(m.cols, tuple(map(tuple, rows)))) == group
+        group = _abelianize_rows(rows)
+        rank = _check_ranks(rows, group)
+        if rank == len(rows) == len(rows[0]):
+            assert math.prod(group.torsion) == abs(rational_determinant(rows))
 
 
 class TestAbelianGroup:
@@ -318,6 +319,28 @@ class TestAbelianize:
             rng.shuffle(mutated)
             assert abelianize(Presentation(gens, tuple(tuple(r) for r in mutated))) == base
 
+    def test_invariant_under_column_operations(self):
+        # a unimodular column operation is a change of generators
+        rng = random.Random(17)
+        for _ in range(200):
+            gens = rng.randint(1, 6)
+            rels = [
+                [rng.randint(-9, 9) for _ in range(gens)]
+                for _ in range(rng.randint(1, 6))
+            ]
+            base = abelianize(Presentation(gens, tuple(map(tuple, rels))))
+            for _ in range(rng.randint(1, 8)):
+                a, b = rng.randrange(gens), rng.randrange(gens)
+                factor = rng.randint(-4, 4)
+                for row in rels:
+                    if a == b:
+                        row[a] = -row[a]
+                    elif factor:
+                        row[b] += factor * row[a]
+                    else:
+                        row[a], row[b] = row[b], row[a]
+            assert abelianize(Presentation(gens, tuple(map(tuple, rels)))) == base
+
     def test_redundant_relations_ignored(self):
         p1 = Presentation(2, ((1, 2),))
         p2 = Presentation(2, ((1, 2), (2, 4), (-1, -2)))
@@ -325,26 +348,14 @@ class TestAbelianize:
 
 
 class TestUnitPivotPass:
-    """abelianize clears unit pivots on sparse rows before the Smith core."""
+    """abelianize takes the unit pivots of the sparse rows first."""
 
-    def _remainders(self, monkeypatch, p):
-        seen = []
-        core = abelian._eliminate
+    def test_family_presentation_leaves_no_remainder(self):
+        m = family_invariants(FamilyId("M4", n=80))
+        assert abelianize(m.presentation) == m.h1 == AbelianGroup(161)
 
-        def recording(a, *transforms):
-            seen.append([list(row) for row in a])
-            return core(a, *transforms)
-
-        monkeypatch.setattr(abelian, "_eliminate", recording)
-        return abelianize(p), seen
-
-    def test_family_presentation_leaves_no_remainder(self, monkeypatch):
-        p = family_invariants(FamilyId("M4", n=80)).presentation
-        assert self._remainders(monkeypatch, p) == (AbelianGroup(161), [[]])
-
-    def test_no_unit_leaves_the_whole_matrix(self, monkeypatch):
-        p = Presentation(2, ((2, 0), (0, 3)))
-        assert self._remainders(monkeypatch, p) == (AbelianGroup(0, (6,)), [[[2, 0], [0, 3]]])
+    def test_no_unit_leaves_the_whole_matrix(self):
+        assert abelianize(Presentation(2, ((2, 0), (0, 3)))) == AbelianGroup(0, (6,))
 
     def test_memory_follows_the_entries_not_the_generators(self):
         # a presentation with no relations holds no entries, so the pass

@@ -242,7 +242,7 @@ class TestAnalyze:
 
     def test_validates_once(self, capsys, monkeypatch):
         # decide, symplectic and complex engines all require a valid record;
-        # the presentation's Smith normal form is computed for the first only
+        # the presentation is abelianized for the first only
         calls = []
         original = obstruction.abelianize
 

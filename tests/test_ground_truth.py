@@ -89,7 +89,7 @@ def test_almost_complex_exists(m, spin):
     assert verdict.status is VerdictStatus.EXISTS
     coefficients = verdict.witness.coefficients
     target = 3 * m.tau + 2 * m.chi
-    assert quadratic_value(m.form.matrix.to_lists(), coefficients) == target
+    assert quadratic_value(m.form.matrix.entries(), coefficients) == target
     assert verdict.witness.square == target
     assert [c % 2 for c in coefficients] == list(resolve_w2(m))
 

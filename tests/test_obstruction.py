@@ -357,7 +357,7 @@ class TestEnumeration:
         ],
     )
     def test_every_witness_has_the_target_square(self, record, bound):
-        rows = record.form.matrix.to_lists()
+        rows = record.form.matrix.entries()
         target = wu_target(record.chi, record.tau)
         enum = enumerate_chern_classes(record, bound)
         assert enum.coefficients

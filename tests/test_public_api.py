@@ -19,9 +19,6 @@ SRC = Path(fourfold.__file__).resolve().parent
 
 # qualified name (module.name or module.Class.method) -> why nothing in src names it
 ALLOWED_UNNAMED = {
-    "abelian.smith_normal_form": (
-        "the U*M*V = D certificate through which the tests check the Smith loop"
-    ),
     "_pure.first_hit": "perfbench's tracer wraps it; drop with ROADMAP item 1",
     "_pure.first_hit_on_shell": "perfbench's tracer wraps it; drop with ROADMAP item 1",
     "search.compiled_available": "perfbench records the backend; drop with ROADMAP item 1",
