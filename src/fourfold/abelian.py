@@ -1,19 +1,21 @@
 """Finitely generated abelian groups and the abelianization of presentations.
 
-abelianize reads the group a presentation's relation rows present by one
-Smith elimination over the sparse rows, and torsion and free rank off the
-pivots it drops; the other functions parse groups and relator words.
+A Presentation stores each relation row sparse, as its nonzero (generator,
+exponent) pairs, and the file reader hands over the pairs forms.read_sparse_ints
+reads, so a presentation costs its nonzero entries from text to group.
+abelianize reads the group those rows present by one Smith elimination over
+them, and torsion and free rank off the pivots it drops; the other functions
+parse groups and relator words.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .forms import _SPACE, read_int
+from .forms import _SPACE, _dense, _nonzeros, read_int
 
 
 _INT_TYPE = frozenset({int})
@@ -78,34 +80,66 @@ def parse_abelian_group(text: str) -> AbelianGroup:
         raise PresentationError(str(exc)) from None
 
 
-@dataclass(frozen=True)
+Row = tuple[tuple[int, int], ...]
+
+
+def _length_error(generators: int, relation: tuple[int, ...]) -> PresentationError:
+    return PresentationError(f"relation {relation} does not have {generators} entries")
+
+
+@dataclass(frozen=True, init=False)
 class Presentation:
     """A group presentation recorded as abelianized relation vectors.
 
     Each relation is the exponent-sum vector of a relator word over the
-    ordered generators, which is all that abelianization can see.
+    ordered generators, which is all that abelianization can see.  A
+    relation is stored sparse, as its nonzero (generator, exponent) pairs in
+    generator order, so rows, equality and hash cost the nonzero entries;
+    relations is the dense view, built when it is read.
     """
 
     generators: int
-    relations: tuple[tuple[int, ...], ...] = ()
+    rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        if self.generators < 0:
+    def __init__(self, generators: int, relations: Iterable[Sequence[int]] = ()):
+        if generators < 0:
             raise PresentationError("generator count must be nonnegative")
-        object.__setattr__(
-            self, "relations", tuple(tuple(r) for r in self.relations)
-        )
-        for rel in self.relations:
-            if len(rel) != self.generators:
-                raise PresentationError(
-                    f"relation {rel} does not have {self.generators} entries"
-                )
+        rows = []
+        for rel in relations:
+            rel = tuple(rel)
+            if len(rel) != generators:
+                raise _length_error(generators, rel)
             # one pass over the entries' types; a row that holds any type
             # but int itself is then checked entry by entry
             if not _INT_TYPE.issuperset(map(type, rel)):
                 for x in rel:
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise PresentationError(f"relation entries must be ints, got {x!r}")
+            rows.append(_nonzeros(rel))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def _read(cls, generators: int, rows: Sequence[tuple[int, Row]]) -> "Presentation":
+        """A presentation on rows read as (length, nonzero pairs), as read_sparse_ints gives them.
+
+        The pairs are trusted; the generator count and the lengths are checked
+        as the constructor checks them.
+        """
+        if generators < 0:
+            raise PresentationError("generator count must be nonnegative")
+        for length, row in rows:
+            if length != generators:
+                raise _length_error(generators, _dense(length, row))
+        p = cls.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "rows", tuple(row for _, row in rows))
+        return p
+
+    @property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """The relations as dense exponent-sum vectors."""
+        return tuple(_dense(self.generators, row) for row in self.rows)
 
 
 def _smallest(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
@@ -123,10 +157,10 @@ def _smallest(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
 def abelianize(p: Presentation) -> AbelianGroup:
     """Abelianization of a presentation: Z^generators modulo the relation rows.
 
-    One Smith elimination over sparse {column: entry} rows with a column ->
-    rows index, so a presentation costs about as much as its nonzero
-    entries (Havas, Holt and Rees, "Recognizing badly presented Z-modules",
-    Linear Algebra Appl. 1993).  Each pick takes a queued +-1 entry, in the
+    One Smith elimination over sparse {column: entry} rows, one dict copy
+    of each stored row, with a column -> rows index, so a presentation
+    costs about as much as its nonzero entries (Havas, Holt and Rees,
+    "Recognizing badly presented Z-modules", Linear Algebra Appl. 1993).  Each pick takes a queued +-1 entry, in the
     order they were found, and only when none is left a smallest entry.
     Every other row that holds the pivot's column loses the nearest multiple
     of the pivot row.  Once the column is clear, a column operation changes
@@ -137,13 +171,12 @@ def abelianize(p: Presentation) -> AbelianGroup:
     free rank is the generators minus the pivots; the orders above 1 are
     put in a divisibility chain by pairwise gcd and lcm.
     """
-    columns = range(p.generators)
     rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # only the columns that occur
     units: list[tuple[int, int]] = []
-    for r, rel in enumerate(p.relations):
-        row = {j: rel[j] for j in compress(columns, rel)}
-        if row:
+    for r, pairs in enumerate(p.rows):
+        if pairs:
+            row = dict(pairs)
             rows[r] = row
             for j, x in row.items():
                 holders.setdefault(j, set()).add(r)

@@ -27,10 +27,10 @@ from functools import cache
 from itertools import chain
 from typing import Sequence
 
-from .abelian import Presentation, PresentationError, parse_abelian_group
+from .abelian import Presentation, PresentationError, Row, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import _SPACE, FormError, build_form, read_int, read_ints
+from .forms import _SPACE, FormError, build_form, read_int, read_ints, read_sparse_ints
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -75,7 +75,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     gens and repeatable rel lines for a presentation.  '#' starts a comment.
     """
     values: dict[str, str] = {}
-    relations: list[tuple[int, ...]] = []
+    relations: list[tuple[int, Row]] = []  # (length, nonzero pairs) of each rel line
     # lines end at "\n" (a "\r" before it is stripped with the whitespace);
     # str.splitlines() would also end them at "\x0b", "\x0c" and "\x1c"-"\x1e"
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -90,7 +90,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         if key == "rel":
             # an empty value is the one relation over no generators
             field = f"line {lineno}: relation entry"
-            relations.append(read_ints(value, field, ManifoldFileError) if value else ())
+            relations.append(read_sparse_ints(value, field, ManifoldFileError) if value else (0, ()))
             continue
         if key in values:
             raise ManifoldFileError(f"line {lineno}: duplicate key {key!r}")
@@ -120,7 +120,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         if "gens" not in values:
             raise ManifoldFileError("rel lines need a gens line")
         try:
-            presentation = Presentation(as_int("gens"), tuple(relations))
+            presentation = Presentation._read(as_int("gens"), relations)
         except PresentationError as exc:
             raise ManifoldFileError(str(exc)) from None
 
@@ -155,11 +155,13 @@ def format_manifold_file(m: ManifoldInvariants) -> str:
     if m.w2 is not None:
         lines.append(f"w2 = {_w2_text(m.w2)}")
     if m.presentation is not None:
-        lines.append(f"gens = {m.presentation.generators}")
-        lines.extend(
-            "rel = " + ",".join(str(x) for x in rel)
-            for rel in m.presentation.relations
-        )
+        gens = m.presentation.generators
+        lines.append(f"gens = {gens}")
+        for row in m.presentation.rows:  # written from the nonzero entries
+            cells = ["0"] * gens
+            for j, x in row:
+                cells[j] = str(x)
+            lines.append("rel = " + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,12 @@ size.  IntersectionForm.blocks is the one split of a form into contiguous
 orthogonal blocks that the search, the residue and the kH and diagonal
 checks read.
 
+Every integer the grammars take is read by read_int, and every
+comma-separated list by one scan, _scan_ints, whose C-level bytes methods
+find the pieces that are not all zeros, so a row of mostly zeros costs its
+nonzero entries.  read_sparse_ints gives a row's length and nonzero (index,
+value) pairs, read_ints the dense tuple.
+
 Forms can be described in a small text grammar::
 
     H                   one hyperbolic plane [[0,1],[1,0]]
@@ -23,6 +29,7 @@ import re
 import string
 import sys
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -182,6 +189,13 @@ class IntersectionForm:
         self._matrix = matrix
 
     @classmethod
+    def _trusted(cls, matrix: IntegerMatrix) -> "IntersectionForm":
+        """A form on a matrix the caller built square and symmetric."""
+        form = cls.__new__(cls)
+        form._matrix = matrix
+        return form
+
+    @classmethod
     def hyperbolic(cls, k: int = 1) -> "IntersectionForm":
         """Direct sum of k copies of the hyperbolic plane."""
         if k < 1:
@@ -192,7 +206,7 @@ class IntersectionForm:
             row = [0] * n
             row[i ^ 1] = 1  # i's partner in its plane
             rows.append(tuple(row))
-        return cls(IntegerMatrix._trusted(tuple(rows)))
+        return cls._trusted(IntegerMatrix._trusted(tuple(rows)))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntersectionForm":
@@ -239,16 +253,17 @@ class IntersectionForm:
         """Index sets of the connected components of the off-diagonal graph,
         each ascending, ordered by their smallest index; found once per form."""
         rows = self._matrix.entries()
+        columns = range(self.rank)
         seen: set[int] = set()
         components = []
-        for start in range(self.rank):
+        for start in columns:
             if start in seen:
                 continue
             seen.add(start)
             component = [start]
             for i in component:  # component grows while it is walked
-                for j, x in enumerate(rows[i]):
-                    if x and j not in seen:
+                for j in compress(columns, rows[i]):  # the row's nonzero columns
+                    if j not in seen:
                         seen.add(j)
                         component.append(j)
             components.append(sorted(component))
@@ -314,10 +329,13 @@ class IntersectionForm:
         by block: the system splits as the form does, so c is the blocks'
         solutions side by side.  On a unimodular form every block is
         unimodular and its system uniquely solvable.  Even forms give the
-        zero vector.  Raises FormError for a form that is not unimodular.
+        zero vector, with no system solved.  Raises FormError for a form
+        that is not unimodular.
         """
         if not self.is_unimodular:
             raise FormError("characteristic residue needs a unimodular form")
+        if self.is_even:
+            return (0,) * self.rank
         entries = self._matrix.entries()
         residue: list[int] = []
         for a, b in self.blocks:
@@ -387,11 +405,13 @@ _DIAG_RE = re.compile(r"^diag\s*\((.*)\)$", re.DOTALL | re.ASCII)
 _MATRIX_RE = re.compile(r"^matrix\s*(\[.*\])$", re.DOTALL | re.ASCII)
 
 
-# digits, signs, commas and ASCII whitespace; int() rejects every other
-# misuse of them (an empty or blank piece, a sign alone or twice, a space
-# inside a number), so the two together take exactly read_int's integers,
-# comma-separated, each with optional whitespace around it
-_INTS_CHARS_RE = re.compile(r"[0-9+\-,\s]*", re.ASCII)
+# "0" and "," stay, the other bytes an integer list may hold (digits, signs
+# and ASCII whitespace) become "1", and every other byte "x": one find then
+# reaches the next piece that is not all zeros
+_MARK = bytes(
+    c if c in b"0," else ord("1") if c in b"123456789+-" + _SPACE.encode() else ord("x")
+    for c in range(256)
+)
 
 
 def read_int(text: str, field: str, error: type[Exception]) -> int:
@@ -414,16 +434,81 @@ def read_int(text: str, field: str, error: type[Exception]) -> int:
         ) from None
 
 
-def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
-    """Comma-separated integers under read_int's rule, each with ASCII whitespace around it."""
-    if _INTS_CHARS_RE.fullmatch(text):
+def _scan_ints(
+    text: str, field: str, error: type[Exception]
+) -> list[int] | tuple[int, tuple[tuple[int, int], ...]]:
+    """Comma-separated integers under read_int's rule, each with ASCII whitespace around it.
+
+    One pass of C-level bytes methods checks the characters and marks the
+    pieces that are not all zeros.  On a row where more than one byte in 16
+    is marked, int() reads every piece of one split, and the list of values
+    is returned.  On a row of mostly zeros, int() reads just the marked
+    pieces, found by find and count, and (length, nonzero (index, value)
+    pairs) is returned, so the row costs its nonzero entries.  An empty
+    piece, a zero piece longer than int()'s digit limit, or any piece int()
+    refuses sends the whole text to read_int piece by piece, which says
+    what is wrong.
+    """
+    marks = text.encode("ascii").translate(_MARK) if text.isascii() else b"x"
+    if b"x" not in marks:  # every byte is one an integer list may hold
         try:
-            # relation rows are mostly zeros; int("0") is 0, at a fraction of the cost
-            return tuple([0 if p == "0" else int(p) for p in text.split(",")])
+            if 16 * marks.count(b"1") > len(marks):
+                # a short or dense row: int() on every piece costs less than
+                # finding the pieces one by one
+                return [0 if p == "0" else int(p) for p in text.split(",")]
+            limit = sys.get_int_max_str_digits()
+            if not (
+                not marks
+                or marks.startswith(b",")
+                or marks.endswith(b",")
+                or b",," in marks  # an empty piece
+                or limit and len(marks) > limit and b"0" * (limit + 1) in marks
+            ):
+                pairs = []
+                index = piece = 0
+                at = marks.find(b"1")
+                while at >= 0:
+                    start = marks.rfind(b",", 0, at) + 1
+                    end = marks.find(b",", at)
+                    if end < 0:
+                        end = len(marks)
+                    index += marks.count(b",", piece, start)
+                    piece = start
+                    value = int(text[start:end])
+                    if value:
+                        pairs.append((index, value))
+                    at = marks.find(b"1", end)
+                return marks.count(b",") + 1, tuple(pairs)
         except ValueError:
-            pass
-    # some piece is not an integer or is too long; read_int says which
-    return tuple(read_int(p.strip(_SPACE), field, error) for p in text.split(","))
+            pass  # some piece is not an integer or is too long
+    return [read_int(p.strip(_SPACE), field, error) for p in text.split(",")]
+
+
+def _nonzeros(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (index, value) pairs of the nonzero ints of values, in order."""
+    return tuple(zip(compress(range(len(values)), values), filter(None, values)))
+
+
+def _dense(length: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The vector of length length that holds the (index, value) pairs, zeros elsewhere."""
+    values = [0] * length
+    for i, v in pairs:
+        values[i] = v
+    return tuple(values)
+
+
+def read_sparse_ints(
+    text: str, field: str, error: type[Exception]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(length, nonzero (index, value) pairs) of comma-separated integers (_scan_ints)."""
+    got = _scan_ints(text, field, error)
+    return (len(got), _nonzeros(got)) if isinstance(got, list) else got
+
+
+def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
+    """Comma-separated integers (_scan_ints), as one dense tuple."""
+    got = _scan_ints(text, field, error)
+    return tuple(got) if isinstance(got, list) else _dense(*got)
 
 
 def _parse_matrix_literal(text: str) -> list[tuple[int, ...]]:

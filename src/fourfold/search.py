@@ -236,11 +236,14 @@ def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[i
     last = len(blocks) - 1
     keep = []
     live = {target}
-    for b, after in enumerate(reach):
+    for b in range(last):
+        after = reach[b]
         used = [(v, r - v) for r in live for v in tables[b] if r - v in after]
         keep.append({v for v, _ in used})
         live = {s for _, s in used}
-    if not live:
+    # reach[last] is {0}: the last block keeps the live residuals it takes
+    keep.append(live & tables[last].keys())
+    if not keep[last]:
         return []
     lists = [
         list(_walk(*block, bound, table.keys() - kept))

@@ -416,3 +416,12 @@ class TestPresentationText:
             pass
 
         assert Presentation(2, ((Exponent(1), 2),)).relations == ((1, 2),)
+
+    def test_rows_are_the_nonzero_entries(self):
+        p = Presentation(4, ((0, 2, 0, -1), (0, 0, 0, 0)))
+        assert p.rows == (((1, 2), (3, -1)), ())
+        assert p.relations == ((0, 2, 0, -1), (0, 0, 0, 0))
+        assert p == Presentation(4, [[0, 2, 0, -1], [0, 0, 0, 0]])
+        assert hash(p) == hash(Presentation(4, [[0, 2, 0, -1], [0, 0, 0, 0]]))
+        assert p != Presentation(4, ((0, 2, 0, -1),))
+        assert p != Presentation(5, ((0, 2, 0, -1, 0), (0, 0, 0, 0, 0)))

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from unittest import mock
@@ -31,7 +33,7 @@ from fourfold.cli import (
 from fourfold.abelian import AbelianGroup
 from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.families import FamilyId, family_invariants
-from fourfold.forms import IntegerMatrix, IntersectionForm, read_ints
+from fourfold.forms import IntegerMatrix, IntersectionForm, read_int, read_ints, read_sparse_ints
 from fourfold.obstruction import ManifoldInvariants, almost_complex_excluded
 from oracles import E8_ROWS, H_ROWS, block_sum
 
@@ -116,6 +118,61 @@ class TestManifoldFiles:
         assert "missing required keys: chi" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "spec",
+        [f"M1 g={g}" for g in (1, 2, 3, 4, 8, 50)]
+        + [f"M{kind} g={g} n={n}" for kind in (2, 3) for g in (1, 3) for n in (1, 3)]
+        + [f"M4 n={n}" for n in (1, 2, 3, 5, 10, 20, 40, 80)],
+    )
+    def test_parsed_presentation_equals_built(self, spec):
+        # the corpus's family specs: a file's sparse rows equal the ones
+        # family_invariants builds from dense exponent vectors
+        built = family_invariants(FamilyId.parse(spec))
+        parsed = parse_manifold_file(format_manifold_file(built))
+        assert parsed == built
+        assert parsed.presentation == built.presentation
+        assert hash(parsed.presentation) == hash(built.presentation)
+
+    @pytest.mark.parametrize("spec", ["M1 g=2", "M2 g=1 n=3", "M4 n=3", "M4 n=80"])
+    def test_relations_round_trip(self, spec):
+        m = family_invariants(FamilyId.parse(spec))
+        p = m.presentation
+        text = format_manifold_file(m)
+        rel_lines = [line for line in text.splitlines() if line.startswith("rel = ")]
+        assert rel_lines == ["rel = " + ",".join(map(str, rel)) for rel in p.relations]
+        assert parse_manifold_file(text).presentation.relations == p.relations
+
+    def test_relation_length_message(self, capsys, tmp_path):
+        text = GOOD_FILE + "gens = 2\nrel = 1\n"
+        message = "relation (1,) does not have 2 entries"
+        with pytest.raises(ManifoldFileError) as exc:
+            parse_manifold_file(text)
+        assert str(exc.value) == message
+        with pytest.raises(PresentationError) as exc:
+            Presentation(2, ((1,),))
+        assert str(exc.value) == message
+        path = tmp_path / "short.man"
+        path.write_text(text, encoding="ascii")
+        assert run(capsys, "validate", "--file", str(path)) == (EXIT_PARSE, "", f"error: {message}\n")
+
+    def test_memory_follows_the_text_not_the_row_width(self):
+        # one relation 200,000 entries wide with three nonzeros.  The parse
+        # holds a few copies of the line (the split lines, the value, its
+        # marked bytes); a dense row would add 8 bytes an entry, four times
+        # the text's 2
+        width = 200_000
+        cells = ["0"] * width
+        cells[3], cells[width // 2], cells[-1] = "5", "-7", "1"
+        text = GOOD_FILE + f"gens = {width}\nrel = " + ",".join(cells) + "\n"
+        tracemalloc.start()
+        try:
+            m = parse_manifold_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.presentation.rows == (((3, 5), (width // 2, -7), (width - 1, 1)),)
+        assert peak < 5 * len(text) + 256 * 3 + 2**16
+
     def test_presentation_lines(self):
         text = GOOD_FILE.replace("w2 = 0\n", "") + "gens = 2\nrel = 0,3\n"
         m = parse_manifold_file(text)
@@ -148,6 +205,35 @@ def _int_split(text):
     return tuple(int(p) for p in text.split(","))
 
 
+def _per_piece_error(text):
+    """The message of the first piece read_int refuses."""
+    try:
+        for piece in text.split(","):
+            read_int(piece.strip(string.whitespace), "entry", ValueError)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"read_int takes every piece of {text!r}")
+
+
+def _check_sparse_scan(text):
+    """read_sparse_ints gives the oracle's length and nonzeros, or, where the
+    oracle refuses the text, the error read_int gives piece by piece."""
+    expected = _outcome(_int_split, text)
+    if expected is ValueError:
+        with pytest.raises(ValueError) as exc:
+            read_sparse_ints(text, "entry", ValueError)
+        assert str(exc.value) == _per_piece_error(text)
+    else:
+        nonzeros = tuple((i, v) for i, v in enumerate(expected) if v)
+        assert read_sparse_ints(text, "entry", ValueError) == (len(expected), nonzeros)
+
+
+_PIECES = ["", "00", " 0", "-0", "0\t", "1", "-2", "+3", "10", "01", " 4 ", "1 2", "0 1", "+", "--1", "x"]
+
+# the last relation row of M4 n=80: 401 entries, 3 of them nonzero, near its end
+_M4_ROW = ",".join(map(str, family_invariants(FamilyId("M4", n=80)).presentation.relations[-1]))
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -174,6 +260,34 @@ class TestRelationGrammar:
             return read_ints(t, "entry", ValueError)
 
         assert _outcome(read, text) == _outcome(_int_split, text)
+
+    @given(st.text(alphabet="0120-+, \t", max_size=12))
+    @settings(max_examples=500, derandomize=True)
+    @example("0" * 5001)  # a zero piece int() refuses as too long
+    @example(",,")
+    @example(",1")
+    @example("1,")
+    @example(" 0 ")
+    @example("-0")
+    @example("+")
+    @example("0 0")
+    @example("00,-00,+0")
+    @example("\u0663")
+    @example(_M4_ROW)
+    def test_sparse_scan_is_int_per_piece(self, text):
+        _check_sparse_scan(text)
+
+    # rows long and sparse enough that the scan finds the nonzero pieces one
+    # by one instead of splitting the text
+    @given(
+        st.lists(st.sampled_from(["0"] * 300 + _PIECES), min_size=40, max_size=200).map(",".join)
+    )
+    @settings(max_examples=300, derandomize=True)
+    @example("0,,0")
+    @example("0," * 20 + " 0 ,-00,+0,7")
+    @example("0," * 40 + "1 2," + "0," * 40 + "0")
+    def test_sparse_rows_are_int_per_piece(self, text):
+        _check_sparse_scan(text)
 
 
 class TestAnalyze:
