@@ -7,13 +7,7 @@ symplectic and complex-structure exclusion verdicts.  All arithmetic is
 exact.
 """
 
-from .abelian import (
-    AbelianGroup,
-    Presentation,
-    abelianize,
-    parse_abelian_group,
-    parse_word,
-)
+from .abelian import AbelianGroup, Presentation, abelianize, parse_abelian_group
 from .classification import (
     SurfaceKind,
     SurfaceModel,
@@ -82,7 +76,6 @@ __all__ = [
     "family_invariants",
     "is_spin",
     "parse_abelian_group",
-    "parse_word",
     "validate_invariants",
     "wu_target",
 ]

@@ -3,9 +3,10 @@
 A Presentation stores each relation row sparse, as its nonzero (generator,
 exponent) pairs, and the file reader hands over the pairs forms.read_sparse_ints
 reads, so a presentation costs its nonzero entries from text to group.
-abelianize reads the group those rows present by one Smith elimination over
-them, and torsion and free rank off the pivots it drops; the other functions
-parse groups and relator words.
+Presentation.from_words reads relator words straight to those pairs, with one
+name index per presentation.  abelianize reads the group the rows present by
+one Smith elimination over them, and torsion and free rank off the pivots it
+drops; parse_abelian_group reads a group's text.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .forms import _SPACE, _dense, _nonzeros, read_int
-
-
-_INT_TYPE = frozenset({int})
 
 
 class PresentationError(ValueError):
@@ -82,6 +80,8 @@ def parse_abelian_group(text: str) -> AbelianGroup:
 
 Row = tuple[tuple[int, int], ...]
 
+_WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
+
 
 def _length_error(generators: int, relation: tuple[int, ...]) -> PresentationError:
     return PresentationError(f"relation {relation} does not have {generators} entries")
@@ -109,12 +109,9 @@ class Presentation:
             rel = tuple(rel)
             if len(rel) != generators:
                 raise _length_error(generators, rel)
-            # one pass over the entries' types; a row that holds any type
-            # but int itself is then checked entry by entry
-            if not _INT_TYPE.issuperset(map(type, rel)):
-                for x in rel:
-                    if isinstance(x, bool) or not isinstance(x, int):
-                        raise PresentationError(f"relation entries must be ints, got {x!r}")
+            for x in rel:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise PresentationError(f"relation entries must be ints, got {x!r}")
             rows.append(_nonzeros(rel))
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "rows", tuple(rows))
@@ -135,6 +132,36 @@ class Presentation:
         object.__setattr__(p, "generators", generators)
         object.__setattr__(p, "rows", tuple(row for _, row in rows))
         return p
+
+    @classmethod
+    def from_words(cls, names: Sequence[str], words: Iterable[str]) -> "Presentation":
+        """The presentation of relator words like "a1^-1 b1^-1 a1 b1" on names.
+
+        Tokens are whitespace separated; each is a generator name with an
+        optional ^exponent.  One name index serves every word, and each word
+        is read straight to its nonzero exponent sums.
+        """
+        n = len(names)
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != n:
+            raise PresentationError("generator names must be distinct")
+        rows = []
+        for text in words:
+            sums: dict[int, int] = {}
+            for token in re.findall(r"\S+", text, re.ASCII):
+                match = _WORD_TOKEN_RE.match(token)
+                if not match:
+                    raise PresentationError(f"cannot parse word token {token!r}")
+                name, exponent = match.groups()
+                if name not in index:
+                    raise PresentationError(f"unknown generator {name!r}")
+                step = 1
+                if exponent is not None:
+                    step = read_int(exponent, "word exponent", PresentationError)
+                i = index[name]
+                sums[i] = sums.get(i, 0) + step
+            rows.append((n, tuple(sorted((i, x) for i, x in sums.items() if x))))
+        return cls._read(n, rows)
 
     @property
     def relations(self) -> tuple[tuple[int, ...], ...]:
@@ -249,29 +276,4 @@ def abelianize(p: Presentation) -> AbelianGroup:
             a, orders[k] = g, a // g * b
         orders[i] = a
     return AbelianGroup(p.generators - pivots, tuple(x for x in orders if x > 1))
-
-
-_WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
-
-
-def parse_word(names: Sequence[str], text: str) -> tuple[int, ...]:
-    """Exponent-sum vector of a relator word like "a1^-1 b1^-1 a1 b1".
-
-    Tokens are whitespace separated; each is a generator name with an
-    optional ^exponent.
-    """
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise PresentationError("generator names must be distinct")
-    out = [0] * len(names)
-    for token in re.findall(r"\S+", text, re.ASCII):
-        match = _WORD_TOKEN_RE.match(token)
-        if not match:
-            raise PresentationError(f"cannot parse word token {token!r}")
-        name, exponent = match.group(1), match.group(2)
-        if name not in index:
-            raise PresentationError(f"unknown generator {name!r}")
-        step = 1 if exponent is None else read_int(exponent, "word exponent", PresentationError)
-        out[index[name]] += step
-    return tuple(out)
 

@@ -1,16 +1,17 @@
 """Symplectic and complex structure exclusion via surface classification.
 
-One minimal-surface table, two engines.  ek_filter matches b1, c1^2 and c2
-against every class of the table over all blow-up counts k >= 0 (with
-c1sq_min = c1sq + k and c2_min = c2 - k), a mechanical filter.  A complex
-structure would place a minimal model in one of those classes.  With
-c1^2 = 2*chi + 3*tau negative and the form even (no sphere of square -1, so
-the manifold is minimal), a symplectic structure would have Kodaira
-dimension minus infinity, forcing a rational or ruled model with no
-blow-ups.  Both engines read ek_filter and turn its models into a verdict by
-one rule: an empty list excludes the structure outright; models that only a
-fundamental-group comparison can remove are removed when callers opt into
-that as an explicit assumption; anything else is Unknown.
+One minimal-surface table, two engines.  The table is data, one row per
+class: the b1 it admits and the ranges of its minimal model's c1^2 and c2.
+ek_filter reads every row by one rule, matching b1, c1^2 and c2 over all
+blow-up counts k >= 0 (with c1sq_min = c1sq + k and c2_min = c2 - k), a
+mechanical filter.  A complex structure would place a minimal model in one
+of those classes.  With c1^2 = 2*chi + 3*tau negative and the form even (no
+sphere of square -1, so the manifold is minimal), a symplectic structure
+would have Kodaira dimension minus infinity, forcing a rational or ruled
+model with no blow-ups.  Both engines read ek_filter and turn its models
+into a verdict by one rule: an empty list excludes the structure outright;
+models that only a fundamental-group comparison can remove are removed when
+callers opt into that as an explicit assumption; anything else is Unknown.
 
 Both engines first apply the cascade: a record with no almost complex
 structure has neither a symplectic nor a complex one.
@@ -94,57 +95,61 @@ class SurfaceModel:
         return base
 
 
+# One row per class of minimal surfaces: the class, the b1 it admits (a
+# closed range and a parity) and the closed ranges of its minimal model's
+# c1^2 and c2.  None is an open end, or any parity.  The ruled row holds
+# genus 0's numbers: over Sigma_g, g = b1/2, c1^2 = 8 - 4*b1 and
+# c2 = 4 - 2*b1, so the rule moves the record by 4*b1 and 2*b1 instead.
+_SURFACE_TABLE = (
+    (SurfaceKind.RATIONAL_CP2, (0, 0), None, (9, 9), (3, 3)),
+    (SurfaceKind.RATIONAL_S2XS2, (0, 0), None, (8, 8), (4, 4)),
+    (SurfaceKind.CLASS_VII, (1, 1), None, (None, 0), (0, None)),
+    (SurfaceKind.RULED, (2, None), 0, (8, 8), (4, 4)),
+    (SurfaceKind.ENRIQUES, (0, 0), None, (0, 0), (12, 12)),
+    (SurfaceKind.BI_ELLIPTIC, (2, 2), None, (0, 0), (0, 0)),
+    (SurfaceKind.KODAIRA_SURFACE, (1, 3), 1, (0, 0), (0, 0)),
+    (SurfaceKind.K3, (0, 0), None, (0, 0), (24, 24)),
+    (SurfaceKind.TORUS, (4, 4), None, (0, 0), (0, 0)),
+    (SurfaceKind.PROPERLY_ELLIPTIC, (None, None), None, (0, 0), (0, None)),
+    (SurfaceKind.GENERAL_TYPE, (None, None), 0, (1, None), (1, None)),
+)
+
+
 def ek_filter(b1: int, c1sq: int, c2: int) -> list[SurfaceModel]:
     """All minimal-surface classes compatible with (b1, c1^2, c2), with k blow-ups.
 
     Purely numeric: exactly the printed table constraints and the linear
     blow-up accounting, nothing more.  An empty result proves no complex
-    structure; survivors are candidates, not confirmations.  Each class
-    constrains (b1, c1sq_min, c2_min); blow-up accounting sets
-    c1sq_min = c1sq + k and c2_min = c2 - k with k >= 0, which pins k
-    linearly whenever the class fixes c1sq_min.  Classes that only bound
-    their invariants (class VII, general type) get the smallest admissible k.
+    structure; survivors are candidates, not confirmations.  One rule reads
+    every row of _SURFACE_TABLE.  Blow-ups set c1sq_min = c1sq + k and
+    c2_min = c2 - k, so the fewest, k = max(0, lo(c1^2) - c1sq,
+    c2 - hi(c2)), is the one to report, and the row matches when
+    k <= hi(c1^2) - c1sq and k <= c2 - lo(c2).  S2 x S2 matches at k = 0
+    only: its blow-ups are recorded as CP2 blow-ups.
     """
     models = []
-    # (1) minimal rational: (c1sq, c2) = (9, 3) for CP2, (8, 4) for S2 x S2
-    if b1 == 0:
-        k = 9 - c1sq
-        if k >= 0 and c2 - k == 3:
-            models.append(SurfaceModel(SurfaceKind.RATIONAL_CP2, blowups=k))
-        if c1sq == 8 and c2 == 4:
-            models.append(SurfaceModel(SurfaceKind.RATIONAL_S2XS2))
-    # (2) class VII: b1 = 1, c1sq_min <= 0, c2_min >= 0; k = 0 is admissible
-    # whenever any k is
-    if b1 == 1 and c1sq <= 0 and c2 >= 0:
-        models.append(SurfaceModel(SurfaceKind.CLASS_VII))
-    # (3) ruled genus g >= 1: b1 = 2g, c1sq_min = 8(1-g), c2_min = 4(1-g);
-    # genus 0 is the rational row above, not a separate match
-    if b1 % 2 == 0 and b1 >= 2:
-        genus = b1 // 2
-        k = 8 * (1 - genus) - c1sq
-        if k >= 0 and c2 - k == 4 * (1 - genus):
-            models.append(SurfaceModel(SurfaceKind.RULED, genus=genus, blowups=k))
-    # (4)-(8): classes with (c1sq_min, c2_min) fixed outright
-    fixed = (
-        (SurfaceKind.ENRIQUES, (0,), 12),
-        (SurfaceKind.BI_ELLIPTIC, (2,), 0),
-        (SurfaceKind.KODAIRA_SURFACE, (3, 1), 0),
-        (SurfaceKind.K3, (0,), 24),
-        (SurfaceKind.TORUS, (4,), 0),
-    )
-    for kind, b1_values, c2_min in fixed:
-        k = -c1sq
-        if b1 in b1_values and k >= 0 and c2 - k == c2_min:
-            models.append(SurfaceModel(kind, blowups=k))
-    # (9) properly elliptic: c1sq_min = 0, c2_min >= 0, no b1 constraint
-    k = -c1sq
-    if k >= 0 and c2 - k >= 0:
-        models.append(SurfaceModel(SurfaceKind.PROPERLY_ELLIPTIC, blowups=k))
-    # (10) general type: b1 even, c1sq_min > 0, c2_min > 0
-    if b1 % 2 == 0:
-        k = max(0, 1 - c1sq)
-        if c2 - k > 0:
-            models.append(SurfaceModel(SurfaceKind.GENERAL_TYPE, blowups=k))
+    for kind, (b1_lo, b1_hi), parity, (c1sq_lo, c1sq_hi), (c2_lo, c2_hi) in _SURFACE_TABLE:
+        if (
+            (b1_lo is not None and b1 < b1_lo)
+            or (b1_hi is not None and b1 > b1_hi)
+            or (parity is not None and b1 % 2 != parity)
+        ):
+            continue
+        genus, x, y = None, c1sq, c2
+        if kind is SurfaceKind.RULED:
+            genus, x, y = b1 // 2, c1sq + 4 * b1, c2 + 2 * b1
+        k = 0
+        if c1sq_lo is not None:
+            k = max(k, c1sq_lo - x)
+        if c2_hi is not None:
+            k = max(k, y - c2_hi)
+        if (
+            (c1sq_hi is not None and k > c1sq_hi - x)
+            or (c2_lo is not None and k > y - c2_lo)
+            or (k and kind is SurfaceKind.RATIONAL_S2XS2)
+        ):
+            continue
+        models.append(SurfaceModel(kind, genus=genus, blowups=k))
     return models
 
 

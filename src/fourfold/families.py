@@ -8,26 +8,27 @@ shipped as executable invariant records:
     M3(g,n)  chi = 4 - 4g - 4n, tau = 0,  Q = (n+1)H,   b1 = 2g + 3n
     M4(n)    chi = -2n,         tau = 0,  Q = nH,       b1 = 2n + 1
 
-Parameters g and n are at least 1.  M1, M2 and M4 carry fundamental-group
-presentations (abelianized relation vectors); M3 ships without one, since
-its group has no usable finite description in this encoding.
+Parameters g and n are at least 1.  That table is data, _FAMILIES: one row
+per family with its parameter names, its (chi, b1, k of Q = kH) formulas
+and the builder of its relator words, which family_invariants reads by one
+rule.  M1, M2 and M4 carry fundamental-group presentations, read from their
+words by Presentation.from_words; M3 ships without one, since its group has
+no usable finite description in this encoding.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .abelian import AbelianGroup, Presentation, parse_word
+from .abelian import AbelianGroup, Presentation
 from .forms import IntersectionForm, read_int
-from .obstruction import ManifoldInvariants
+from .obstruction import ManifoldInvariants, wu_target
 
 
 class FamilyParameterError(ValueError):
     """Family id with missing, extra or out-of-range parameters."""
-
-
-_FAMILY_PARAMS = {"M1": ("g",), "M2": ("g", "n"), "M3": ("g", "n"), "M4": ("n",)}
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,9 @@ class FamilyId:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_PARAMS:
+        if self.kind not in _FAMILIES:
             raise FamilyParameterError(f"unknown family {self.kind!r}")
-        wanted = _FAMILY_PARAMS[self.kind]
+        wanted = _FAMILIES[self.kind].params
         for key in ("g", "n"):
             value = getattr(self, key)
             if key in wanted:
@@ -61,7 +62,7 @@ class FamilyId:
         if not tokens:
             raise FamilyParameterError("empty family spec")
         kind = tokens[0]
-        if kind not in _FAMILY_PARAMS:
+        if kind not in _FAMILIES:
             raise FamilyParameterError(f"unknown family {kind!r}")
         params: dict[str, int] = {}
         for token in tokens[1:]:
@@ -77,7 +78,7 @@ class FamilyId:
     def __str__(self) -> str:
         inner = ", ".join(
             f"{key}={getattr(self, key)}"
-            for key in _FAMILY_PARAMS[self.kind]
+            for key in _FAMILIES[self.kind].params
         )
         return f"{self.kind}({inner})"
 
@@ -95,22 +96,20 @@ def _commutator_word(g: int) -> str:
     )
 
 
-def _presentation(names: list[str], words: list[str]) -> Presentation:
-    """The exponent-sum rows of the relator words over the named generators."""
-    return Presentation(len(names), tuple(parse_word(names, w) for w in words))
+Words = tuple[list[str], list[str]]  # generator names, relator words
 
 
-def _m1_presentation(g: int) -> Presentation:
+def _m1_words(g: int) -> Words:
     names = _surface_generators(g) + ["c", "d", "e", "f"]
     words = [
         _commutator_word(g) + " c d^-1",
         "e d e^-1 c^-1",
         "d f^3",
     ]
-    return _presentation(names, words)
+    return names, words
 
 
-def _m2_presentation(g: int, n: int) -> Presentation:
+def _m2_words(g: int, n: int) -> Words:
     names = _surface_generators(g)
     for i in range(1, n + 1):
         names.extend((f"c{i}", f"d{i}", f"e{i}"))
@@ -124,10 +123,10 @@ def _m2_presentation(g: int, n: int) -> Presentation:
     words = [long_word] + [
         f"e{i} d{i} e{i}^-1 c{i}^-1" for i in range(1, n + 1)
     ]
-    return _presentation(names, words)
+    return names, words
 
 
-def _m4_presentation(n: int) -> Presentation:
+def _m4_words(n: int) -> Words:
     names = []
     for i in range(1, n + 1):
         names.extend((f"g{i}", f"h{i}", f"j{i}", f"k{i}", f"l{i}"))
@@ -141,35 +140,34 @@ def _m4_presentation(n: int) -> Presentation:
                 f"g{i} h{i} j{i}",
             )
         )
-    return _presentation(names, words)
+    return names, words
+
+
+class _Family(NamedTuple):
+    params: tuple[str, ...]
+    invariants: Callable[..., tuple[int, int, int]]  # (chi, b1, k) with Q = kH
+    words: Callable[..., Words] | None
+
+
+_FAMILIES = {
+    "M1": _Family(("g",), lambda g: (-4 * g, 2 * g + 2, 1), _m1_words),
+    "M2": _Family(("g", "n"), lambda g, n: (4 - 4 * g - 4 * n, 2 * g + 2 * n, 1), _m2_words),
+    "M3": _Family(("g", "n"), lambda g, n: (4 - 4 * g - 4 * n, 2 * g + 3 * n, n + 1), None),
+    "M4": _Family(("n",), lambda n: (-2 * n, 2 * n + 1, n), _m4_words),
+}
 
 
 def family_invariants(fid: FamilyId) -> ManifoldInvariants:
-    """The invariant record for one family member.
+    """The invariant record for one family member, read off its _FAMILIES row.
 
     All four families are spin with vanishing signature; w2 is recorded as
     the zero vector accordingly.
     """
-    if fid.kind == "M1":
-        g = fid.g
-        form = IntersectionForm.hyperbolic(1)
-        chi, b1 = -4 * g, 2 * g + 2
-        presentation = _m1_presentation(g)
-    elif fid.kind == "M2":
-        g, n = fid.g, fid.n
-        form = IntersectionForm.hyperbolic(1)
-        chi, b1 = 4 - 4 * g - 4 * n, 2 * g + 2 * n
-        presentation = _m2_presentation(g, n)
-    elif fid.kind == "M3":
-        g, n = fid.g, fid.n
-        form = IntersectionForm.hyperbolic(n + 1)
-        chi, b1 = 4 - 4 * g - 4 * n, 2 * g + 3 * n
-        presentation = None
-    else:
-        n = fid.n
-        form = IntersectionForm.hyperbolic(n)
-        chi, b1 = -2 * n, 2 * n + 1
-        presentation = _m4_presentation(n)
+    family = _FAMILIES[fid.kind]
+    args = [getattr(fid, key) for key in family.params]
+    chi, b1, planes = family.invariants(*args)
+    form = IntersectionForm.hyperbolic(planes)
+    words = family.words and family.words(*args)  # M3 has none
     return ManifoldInvariants(
         name=str(fid),
         chi=chi,
@@ -178,7 +176,7 @@ def family_invariants(fid: FamilyId) -> ManifoldInvariants:
         b1=b1,
         h1=AbelianGroup(b1),
         w2=(0,) * form.rank,
-        presentation=presentation,
+        presentation=words and Presentation.from_words(*words),
     )
 
 
@@ -186,8 +184,8 @@ def known_discrepancies(m: ManifoldInvariants) -> list[str]:
     """Notes on records whose documented properties clash with the criteria.
 
     Matching is on the invariant data itself (shape of the form, chi, tau,
-    b1), so a record loaded from a file produces the same notes as one
-    built by family_invariants.
+    b1), against the M4 row's formulas, so a record loaded from a file
+    produces the same notes as one built by family_invariants.
     """
     notes = []
     k = m.form.hyperbolic_summands
@@ -196,14 +194,14 @@ def known_discrepancies(m: ManifoldInvariants) -> list[str]:
         and k >= 3
         and k % 2 == 1
         and m.tau == 0
-        and m.chi == -2 * k
-        and m.b1 == 2 * k + 1
+        and (m.chi, m.b1, k) == _FAMILIES["M4"].invariants(k)
     ):
         notes.append(
             f"M4 family with odd n = {k}: the required square 3*tau + 2*chi "
-            f"= {-4 * k} is not a multiple of 8, so no even class attains it, "
-            "and odd-coefficient candidates violate the w2 congruence on a "
-            "spin manifold; the construction said to carry an almost complex "
-            "structure for every n > 1 fails the existence criterion here"
+            f"= {wu_target(m.chi, m.tau)} is not a multiple of 8, so no even "
+            "class attains it, and odd-coefficient candidates violate the w2 "
+            "congruence on a spin manifold; the construction said to carry an "
+            "almost complex structure for every n > 1 fails the existence "
+            "criterion here"
         )
     return notes

@@ -96,29 +96,10 @@ class IntegerMatrix:
         return tuple(zip(*self._data)) == self._data
 
     def determinant(self) -> int:
-        """Exact Bareiss determinant of a general, possibly non-symmetric, matrix."""
-        if self._rows != self._cols:
-            raise FormError("determinant needs a square matrix")
-        n = self._rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self._data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division is guaranteed by the Bareiss identity
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        """Exact determinant of a symmetric matrix, by its form's one Bareiss pass."""
+        if not self.is_symmetric:
+            raise FormError("determinant needs a symmetric matrix")
+        return IntersectionForm._trusted(self).determinant
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):

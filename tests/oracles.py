@@ -7,7 +7,9 @@ Smith diagonals from the gcds of minors (determinantal divisors),
 signatures from Descartes' rule of signs on the integer characteristic
 polynomial, solvability over a box comes from an exact per-block value-set
 convolution, and the raw sweep oracles walk the box with numpy or with
-itertools.product.  Matrix products are plain list arithmetic.  These
+itertools.product.  The surface classes of a record come from trying
+blow-up counts k = 0, 1, ... against the printed table's constraints.
+Matrix products are plain list arithmetic.  These
 deliberately use different algorithms from the package so that agreement
 is evidence, not circularity.
 """
@@ -344,3 +346,47 @@ def random_summands(rng: random.Random, max_rank: int = 6):
         summands.append(s)
         rank += summand_rank(s)
     return summands
+
+
+
+# The minimal-surface table as printed: each class with the constraint its
+# minimal model's (b1, c1^2, c2) meets, written with & so that c1^2 and c2
+# may be integer arrays.  Ruled surfaces are over Sigma_g with g = b1/2 >= 1;
+# genus 0 is rational.
+SURFACE_TABLE = (
+    ("rational CP2 blow-ups", lambda b1, x, y: (b1 == 0) & (x == 9) & (y == 3)),
+    ("rational S2 x S2", lambda b1, x, y: (b1 == 0) & (x == 8) & (y == 4)),
+    ("class VII", lambda b1, x, y: (b1 == 1) & (x <= 0) & (y >= 0)),
+    (
+        "ruled",
+        lambda b1, x, y: (b1 >= 2) & (b1 % 2 == 0)
+        & (x == 8 * (1 - b1 // 2)) & (y == 4 * (1 - b1 // 2)),
+    ),
+    ("Enriques", lambda b1, x, y: (b1 == 0) & (x == 0) & (y == 12)),
+    ("bi-elliptic", lambda b1, x, y: (b1 == 2) & (x == 0) & (y == 0)),
+    ("Kodaira surface", lambda b1, x, y: (b1 in (1, 3)) & (x == 0) & (y == 0)),
+    ("K3", lambda b1, x, y: (b1 == 0) & (x == 0) & (y == 24)),
+    ("torus", lambda b1, x, y: (b1 == 4) & (x == 0) & (y == 0)),
+    ("properly elliptic", lambda b1, x, y: (x == 0) & (y >= 0)),
+    ("general type", lambda b1, x, y: (b1 % 2 == 0) & (x > 0) & (y > 0)),
+)
+
+
+def least_blowups(b1: int, c1sq: np.ndarray, c2: np.ndarray) -> dict[str, np.ndarray]:
+    """For each class of SURFACE_TABLE, the least k >= 0 at which the minimal
+    model (b1, c1sq + k, c2 - k) meets the class's constraint, entry by entry
+    over the integer arrays c1sq and c2, and -1 where no k does.
+
+    k blow-ups of a minimal model of (c1^2, c2) give (c1^2 - k, c2 + k).
+    Each class tries k = 0, 1, ... on the whole grid at once.  Every class
+    has c2 >= min(0, 4 - 2*b1), which ends the tries.  S2 x S2 tries k = 0
+    only: its blow-ups are the CP2 row's.
+    """
+    last = int(c2.max()) - min(0, 4 - 2 * b1)
+    least = {}
+    for name, meets in SURFACE_TABLE:
+        k_of = np.full(c2.shape, -1)
+        for k in range(1 if name == "rational S2 x S2" else last + 1):
+            k_of[(k_of < 0) & meets(b1, c1sq + k, c2 - k)] = k
+        least[name] = k_of
+    return least

@@ -15,7 +15,6 @@ from fourfold.abelian import (
     PresentationError,
     abelianize,
     parse_abelian_group,
-    parse_word,
 )
 from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix
@@ -370,36 +369,48 @@ class TestUnitPivotPass:
         assert peak < 2**20
 
 
+def word_vector(names, text):
+    """The exponent-sum vector of one relator word, read by Presentation.from_words."""
+    return Presentation.from_words(names, [text]).relations[0]
+
+
 class TestWords:
     NAMES = ("a1", "b1", "c", "d", "e", "f")
 
     def test_commutator_vanishes(self):
-        assert parse_word(self.NAMES, "a1^-1 b1^-1 a1 b1") == (0, 0, 0, 0, 0, 0)
+        assert word_vector(self.NAMES, "a1^-1 b1^-1 a1 b1") == (0, 0, 0, 0, 0, 0)
 
     def test_exponents(self):
-        assert parse_word(self.NAMES, "d f^3") == (0, 0, 0, 1, 0, 3)
-        assert parse_word(self.NAMES, "e d e^-1 c^-1") == (0, 0, -1, 1, 0, 0)
+        assert word_vector(self.NAMES, "d f^3") == (0, 0, 0, 1, 0, 3)
+        assert word_vector(self.NAMES, "e d e^-1 c^-1") == (0, 0, -1, 1, 0, 0)
 
     def test_empty_word(self):
-        assert parse_word(self.NAMES, "") == (0, 0, 0, 0, 0, 0)
+        assert word_vector(self.NAMES, "") == (0, 0, 0, 0, 0, 0)
 
     def test_unknown_generator(self):
         with pytest.raises(PresentationError):
-            parse_word(self.NAMES, "a1 z")
+            word_vector(self.NAMES, "a1 z")
 
     def test_bad_token(self):
         with pytest.raises(PresentationError):
-            parse_word(self.NAMES, "a1^x")
+            word_vector(self.NAMES, "a1^x")
         with pytest.raises(PresentationError):
-            parse_word(self.NAMES, "^2")
+            word_vector(self.NAMES, "^2")
         with pytest.raises(PresentationError):
-            parse_word(self.NAMES, "a1^\u0662")  # ARABIC-INDIC DIGIT TWO
+            word_vector(self.NAMES, "a1^\u0662")  # ARABIC-INDIC DIGIT TWO
         with pytest.raises(PresentationError):
-            parse_word(self.NAMES, "a1\u3000b1")  # IDEOGRAPHIC SPACE
+            word_vector(self.NAMES, "a1\u3000b1")  # IDEOGRAPHIC SPACE
+
+    def test_words_share_the_generators(self):
+        p = Presentation.from_words(self.NAMES, ["d f^3", "e d e^-1 c^-1", "a1 a1^-1"])
+        assert p.generators == 6
+        assert p.rows == (((3, 1), (5, 3)), ((2, -1), (3, 1)), ())
+        assert p == Presentation(6, ((0, 0, 0, 1, 0, 3), (0, 0, -1, 1, 0, 0), (0,) * 6))
+        assert Presentation.from_words(self.NAMES, []) == Presentation(6)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(PresentationError):
-            parse_word(("a", "a"), "a")
+            word_vector(("a", "a"), "a")
 
 
 class TestPresentationText:

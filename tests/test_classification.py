@@ -1,5 +1,6 @@
 """The minimal-surface table and the two exclusion engines that read it."""
 
+import numpy as np
 import pytest
 
 from fourfold.abelian import AbelianGroup
@@ -12,7 +13,7 @@ from fourfold.classification import (
     exclude_symplectic,
 )
 from fourfold.obstruction import ManifoldInvariants, VerdictStatus
-from oracles import E8_ROWS, H_ROWS, block_sum
+from oracles import E8_ROWS, H_ROWS, SURFACE_TABLE, block_sum, least_blowups
 
 
 def _record(name="X", chi=4, tau=0, form="H", b1=0):
@@ -144,6 +145,23 @@ class TestRationalRuledModels:
 
 
 class TestEkFilter:
+    def test_matches_the_printed_table_by_brute_force(self):
+        # every (b1, c1^2, c2) with b1 in 0..13 and |c1^2|, |c2| <= 60: the
+        # same classes in the same order, with the same genus and blow-ups
+        values = range(-60, 61)
+        c1sq, c2 = np.meshgrid(values, values, indexing="ij")
+        for b1 in range(14):
+            least = {name: k.tolist() for name, k in least_blowups(b1, c1sq, c2).items()}
+            for i, x in enumerate(values):
+                for j, y in enumerate(values):
+                    expected = [
+                        (name, b1 // 2 if name == "ruled" else None, least[name][i][j])
+                        for name, _ in SURFACE_TABLE
+                        if least[name][i][j] >= 0
+                    ]
+                    got = [(m.kind.value, m.genus, m.blowups) for m in ek_filter(b1, x, y)]
+                    assert got == expected, (b1, x, y)
+
     def test_minimal_ruled_only(self):
         got = ek_filter(4, -8, -4)
         assert set(got) == {SurfaceModel(SurfaceKind.RULED, genus=2)}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import fourfold
 from fourfold import obstruction
-from fourfold.abelian import Presentation, PresentationError, parse_word
+from fourfold.abelian import Presentation, PresentationError
 from fourfold.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -126,7 +126,7 @@ class TestManifoldFiles:
     )
     def test_parsed_presentation_equals_built(self, spec):
         # the corpus's family specs: a file's sparse rows equal the ones
-        # family_invariants builds from dense exponent vectors
+        # family_invariants reads from the relator words
         built = family_invariants(FamilyId.parse(spec))
         parsed = parse_manifold_file(format_manifold_file(built))
         assert parsed == built
@@ -756,7 +756,7 @@ class TestIntegerDigitLimit:
     def test_word_exponent(self):
         limit = sys.get_int_max_str_digits()
         with pytest.raises(PresentationError) as exc:
-            parse_word(["a"], f"a^{_LONG}")
+            Presentation.from_words(["a"], [f"a^{_LONG}"])
         assert str(exc.value) == f"word exponent is too long: 5001 digits, at most {limit} are read"
 
     @pytest.mark.parametrize(

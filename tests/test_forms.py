@@ -322,6 +322,11 @@ class TestDeterminant:
         m = IntegerMatrix([[a, 1], [1, a]])
         assert m.determinant() == a * a - 1
 
+    def test_needs_a_symmetric_matrix(self):
+        for rows in ([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]], [[0, 1], [-1, 0]]):
+            with pytest.raises(FormError, match="^determinant needs a symmetric matrix$"):
+                IntegerMatrix(rows).determinant()
+
 
 class TestHyperbolicRecognition:
     def test_recognizes_literal_sums(self):
