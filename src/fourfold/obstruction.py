@@ -17,8 +17,9 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            It is not always the lex-smallest witness of minimal max-norm
            that tier 3 would find.
   tier 2   rank-2 H with w2 = 0 and a nonzero target: divisor enumeration
-           of 2ab = target is complete.  Only enumerate_chern_classes runs
-           it; decide_wu_existence never does, because H has residue 0 and
+           of 2ab = target is complete, from the prime factors of
+           target/8.  Only enumerate_chern_classes runs it;
+           decide_wu_existence never does, because H has residue 0 and
            tier 1 settles it first.
   tier 3   bounded box search (default bound 32): deepening boxes of
            max-norm 0, 1, 2, 4, ..., bound, each decided by its lex-first
@@ -32,9 +33,11 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            a 1-D quadratic, that may walk only as many prefixes as the
            per-block value tables have points; cut short, the tables and
            their suffix sumsets decide the box block by block.  On one
-           block the sweep is never cut short.  Exhausting the whole box
-           without a hit is reported as Unknown together with the bound,
-           never as a nonexistence claim.
+           block the sweep is never cut short.  A definite form whose
+           target has the wrong sign, or is 0 with an odd residue, has no
+           solution in any box, and the search says so without a walk.
+           Exhausting the whole box without a hit is reported as Unknown
+           together with the bound, never as a nonexistence claim.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import search
@@ -243,9 +247,84 @@ def resolve_w2(m: ManifoldInvariants) -> tuple[int, ...]:
     return (0,) * m.form.rank
 
 
+# The first 13 primes.  Trial division takes them out first, and
+# Miller-Rabin on them as bases is exact below _PRIME_TEST_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _SMALL_PRIMES; n is odd, above 41 and below _PRIME_TEST_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho with Floyd's cycle test."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of 43**2 <= n < _PRIME_TEST_EXACT_BELOW, with multiplicity.
+
+    Trial division by _SMALL_PRIMES, then Pollard's rho on the cofactor
+    until every piece is prime by Miller-Rabin, which is exact there.  A
+    piece below 43**2 has no factor below 43, so it is prime.
+    """
+    primes = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+    pieces = [n] if n > 1 else []
+    while pieces:
+        m = pieces.pop()
+        if m < 43 * 43 or _is_prime(m):
+            primes.append(m)
+        else:
+            d = _split(m)
+            pieces += [d, m // d]
+    return primes
+
+
 def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending; n must be nonzero."""
+    """Positive divisors of |n|, ascending; n must be nonzero.
+
+    From 43**2 up to _PRIME_TEST_EXACT_BELOW they come from |n|'s prime
+    factors.  Below, trial division up to sqrt(|n|) is as fast, and above
+    it nothing is guessed: it is exact everywhere.
+    """
     n = abs(n)
+    if 43 * 43 <= n < _PRIME_TEST_EXACT_BELOW:
+        divisors = {1}
+        for p in _prime_factors(n):
+            divisors |= {d * p for d in divisors}
+        return sorted(divisors)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:

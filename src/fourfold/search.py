@@ -13,16 +13,21 @@ table, which maps each value the block takes to its lex-first vector of that
 value, and the suffix sumsets reach[b] hold the values the blocks after b
 reach together.
 
-The search has one box decider for every form.  It sweeps each box whole
-for its first hit but walks at most as many prefixes as the tables have
-points; a sweep cut short leaves the box to the tables, which pick its
+Before either, a definite form answers at once when the target's sign
+settles it: a target of the wrong sign has no solution, and target 0 only
+h = 0.  The search has one box decider for every form.  It sweeps each box
+whole for its first hit but walks at most as many prefixes as the tables
+have points; a sweep cut short leaves the box to the tables, which pick its
 lex-first solution block by block.  On one block that budget covers the
 whole box, so the sweep decides it and no table is built.  The listing
 sweeps a form of one block whole, by one all_hits sweep that solves the
 last coordinate.  On two or more blocks it keeps, per block, only the
-values some live residual target can use, those that leave a remainder the
-blocks after it still reach; a second walk lists the block's vectors of
-those values, and a depth-first pass joins those lists in coordinate order.
+values some live residual can use, those that leave a remainder the blocks
+after it still reach.  Equal blocks keep the same values, so a second walk
+per distinct block lists its vectors of those values.  A bottom-up join
+then builds, block by block from the last, the lex-ordered suffix lists of
+each live residual, and the first block's list for the target is the
+answer.
 
 Everything reads _pure.prefixes, which keeps each prefix's square and its
 cross term with the last coordinate as running values: the sweeps solve the
@@ -80,7 +85,12 @@ def find_minimal_witness(
     (_block_search): a first-hit sweep of the whole box that walks at most
     as many prefixes as the block tables have points, then, when that sweep
     is cut short, the tables, which give the box's lexicographically first
-    solution.  Boxes that hold the same vectors are decided once.  The
+    solution.  Boxes that hold the same vectors are decided once.
+
+    A definite form answers at once when the target's sign settles it
+    (_sign_settled): a target of the wrong sign has no solution in any box,
+    and target 0 has only h = 0, a solution iff every residue is 0.  So
+    positive definite E8 with target -8 answers None without a sweep.  The
     residues are trusted: the obstruction layer's w2 rule checks them.  A
     negative bound would never end the deepening, so it is refused.
     """
@@ -88,6 +98,9 @@ def find_minimal_witness(
         raise ValueError("search bound must be nonnegative")
     if not form.rank:
         return () if target == 0 else None
+    settled = _sign_settled(form, residues, target)
+    if settled is not None:
+        return settled[0] if settled else None
     first = _block_search(form, list(residues), target)
     empty = -1  # largest box known to hold no solution
     box = 0
@@ -105,6 +118,27 @@ def find_minimal_witness(
         if found is not None:
             return found
     return hit
+
+
+def _sign_settled(
+    form: IntersectionForm, residues: Sequence[int], target: int
+) -> list[tuple[int, ...]] | None:
+    """Every solution in any box, when a definite form's sign settles the target.
+
+    A nondegenerate positive definite form takes no negative value and
+    takes 0 only at h = 0, which every box holds and which has residues 0;
+    a negative definite form likewise with the signs reversed.  None, for
+    the search to decide, on a degenerate or indefinite form and on a
+    target of the form's own sign.
+    """
+    determinant, negative = form._inertia
+    if not determinant or 0 < negative < form.rank:
+        return None
+    if (target < 0) if negative else (target > 0):
+        return None
+    if target or any(residues):
+        return []
+    return [(0,) * form.rank]
 
 
 Block = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -224,48 +258,51 @@ def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[i
     """The box solutions of a form with two or more blocks, in lex order.
 
     The block tables give each block's value set and the suffix sumsets
-    reach.  A forward pass then keeps, per block, the values some live
-    residual can use: the residual minus the value is still reached by the
-    blocks after it.  A second walk lists each block's vectors of those
-    values in lex order, the last block's grouped by value.  Global
-    lexicographic order is the order of the block vectors, block by block,
-    so a depth-first walk that filters each block's list by the node's
-    residual emits it directly.
+    reach.  A forward pass keeps, per block, its live residuals, those a
+    prefix leaves that the blocks from it on still reach, and the values
+    they use: a value is kept when a live residual minus it is still
+    reached by the blocks after it.  A block keeps the values v for which
+    target - v is a sum of the other blocks' values, so equal blocks keep
+    the same set, and one walk per distinct block lists its vectors of kept
+    values in lex order.
+
+    A bottom-up join then builds, for each live residual r of block b,
+    tail[r]: the suffixes from block b on whose value is r, in lex order.
+    The last block's are its vectors grouped by value; block b's are its
+    vectors x in order, each followed by every suffix of tail_(b+1)[r - v],
+    v the value of x.  The blocks are contiguous intervals, so that is
+    lexicographic order, and tail_0[target] is the answer.  Every live
+    suffix extends to a witness, so a level holds no more suffixes than the
+    output has rows, and only two levels are alive at once.
     """
     tables, reach = _tables(blocks, bound)
     last = len(blocks) - 1
-    keep = []
+    lives = []
+    keep: dict[Block, set[int]] = {block: set() for block in blocks}
     live = {target}
     for b in range(last):
         after = reach[b]
         used = [(v, r - v) for r in live for v in tables[b] if r - v in after]
-        keep.append({v for v, _ in used})
+        lives.append(live)
+        keep[blocks[b]].update(v for v, _ in used)
         live = {s for _, s in used}
     # reach[last] is {0}: the last block keeps the live residuals it takes
-    keep.append(live & tables[last].keys())
-    if not keep[last]:
+    live &= tables[last].keys()
+    if not live:
         return []
-    lists = [
-        list(_walk(*block, bound, table.keys() - kept))
-        for block, table, kept in zip(blocks, tables, keep)
-    ]
-    tail: dict[int, list[tuple[int, ...]]] = {}
-    for x, q in lists.pop():
-        tail.setdefault(q, []).append(x)
+    keep[blocks[last]] |= live
+    lists: dict[Block, list[tuple[tuple[int, ...], int]]] = {}
+    for block, table in zip(blocks, tables):
+        if block not in lists:
+            lists[block] = list(_walk(*block, bound, table.keys() - keep[block]))
 
-    out: list[tuple[int, ...]] = []
-    # depth first with an explicit stack, so no form is too long to walk;
-    # each node is (block, prefix over the blocks before it, residual)
-    stack = [(0, (), target)]
-    while stack:
-        b, prefix, residual = stack.pop()
-        if b == last:
-            out.extend([prefix + x for x in tail[residual]])
-            continue
-        after = reach[b]
-        kids = [(b + 1, prefix + x, residual - v) for x, v in lists[b] if residual - v in after]
-        stack.extend(reversed(kids))  # so the lex-smallest vector is walked first
-    return out
+    tail: dict[int, list[tuple[int, ...]]] = {}
+    for x, q in lists[blocks[last]]:
+        tail.setdefault(q, []).append(x)
+    for b in range(last - 1, -1, -1):
+        listed, after = lists[blocks[b]], tail
+        tail = {r: [x + s for x, v in listed for s in after.get(r - v, ())] for r in lives[b]}
+    return tail[target]
 
 
 def enumerate_witnesses(
@@ -279,10 +316,15 @@ def enumerate_witnesses(
     A form of two or more blocks is listed block by block (see
     _block_listing).  A form of one block is listed by one all_hits sweep,
     which solves the last coordinate; its table would evaluate every point
-    of the box.  The residues are trusted, as in find_minimal_witness.
+    of the box.  A definite form whose target's sign settles the listing
+    is answered without either, as in find_minimal_witness.  The residues
+    are trusted, as there.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
+    settled = _sign_settled(form, residues, target)
+    if settled is not None:
+        return settled
     if len(form.blocks) < 2:
         qflat = _flatten(form.matrix.entries())
         return _pure.all_hits(qflat, list(residues), form.rank, bound, target)

@@ -5,8 +5,10 @@ cannot change from one run to the next through random draws.  Every test
 keeps its own max_examples.  A failure prints the blob that reproduces it.
 """
 
+import signal
 import warnings
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("fourfold", derandomize=True, print_blob=True)
@@ -22,3 +24,30 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # libcst is missing; Hypothesis then skips the patch
         pass
+
+
+class Overran(BaseException):
+    """Not an Exception, so Hypothesis does not catch it and shrink, re-running the hang."""
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds) fails the test once it has run that long, as a loop
+    that never ends would.  Where there is no SIGALRM it does nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield lambda seconds: None
+        return
+
+    def arm(seconds: int) -> None:
+        def overran(signum, frame):
+            raise Overran(f"test ran past {seconds} s")
+
+        signal.signal(signal.SIGALRM, overran)
+        signal.alarm(seconds)
+
+    previous = signal.getsignal(signal.SIGALRM)
+    try:
+        yield arm
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

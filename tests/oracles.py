@@ -6,8 +6,9 @@ the rationals), ranks over Q and over GF(p) from Gaussian elimination,
 Smith diagonals from the gcds of minors (determinantal divisors),
 signatures from Descartes' rule of signs on the integer characteristic
 polynomial, solvability over a box comes from an exact per-block value-set
-convolution, and the raw sweep oracles walk the box with numpy or with
-itertools.product.  The surface classes of a record come from trying
+convolution, the solution count of a diagonal form from a per-coordinate
+value-count convolution, and the raw sweep oracles walk the box with numpy
+or with itertools.product.  The surface classes of a record come from trying
 blow-up counts k = 0, 1, ... against the printed table's constraints.
 Matrix products are plain list arithmetic.  These
 deliberately use different algorithms from the package so that agreement
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -290,6 +292,27 @@ def box_solvable(summands, bound: int, target: int, residues=None) -> bool:
     if position < 0:
         return False
     return bool((mask >> position) & 1)
+
+
+def diagonal_solution_count(
+    entries: Sequence[int], residues: Sequence[int], bound: int, target: int
+) -> int:
+    """How many h with h = residues (mod 2) and max|h_i| <= bound have
+    sum d_i h_i^2 = target, for the diagonal form with entries d_i.
+
+    Convolves the coordinates' value counts one at a time: after i
+    coordinates, counts[s] is the number of heads of length i whose partial
+    sum is s.
+    """
+    counts = Counter({0: 1})
+    for d, r in zip(entries, residues):
+        values = Counter(d * v * v for v in _allowed_values(r, bound))
+        step: Counter = Counter()
+        for s, n in counts.items():
+            for v, m in values.items():
+                step[s + v] += n * m
+        counts = step
+    return counts[target]
 
 
 def numpy_box_exists(

@@ -2,7 +2,6 @@
 
 import math
 import random
-import signal
 import tracemalloc
 
 import pytest
@@ -28,27 +27,10 @@ from oracles import (
 _LIMIT_S = 60  # the slowest test here takes a few seconds
 
 
-class _Overran(BaseException):
-    """Not an Exception, so Hypothesis does not catch it and shrink, re-running the hang."""
-
-
 @pytest.fixture(autouse=True)
-def _time_limit():
+def _time_limit(time_limit):
     """Fail a test that runs past _LIMIT_S, as a Smith loop that never ends would."""
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def overran(signum, frame):
-        raise _Overran(f"test ran past {_LIMIT_S} s")
-
-    previous = signal.signal(signal.SIGALRM, overran)
-    signal.alarm(_LIMIT_S)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    time_limit(_LIMIT_S)
 
 
 @st.composite

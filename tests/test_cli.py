@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import itertools
 import json
+import math
 import os
 import re
 import string
@@ -504,6 +506,70 @@ def _printed(v) -> dict:
         "assumptions": list(v.assumptions),
         "search_bound": v.search_bound,
     }
+
+
+_E8_LITERAL = "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in E8_ROWS) + "]"
+
+
+class TestStallGuards:
+    """Records whose exhaustive answer once took minutes or never came."""
+
+    def test_definite_e8_with_a_negative_target(self, capsys, tmp_path, monkeypatch, time_limit):
+        # positive definite E8 with b1 = 13: chi -16, tau 8, so the target is
+        # -8, which no vector reaches; the default bound's box has 33**8 points
+        time_limit(10)
+        monkeypatch.delenv("FOURFOLD_BOUND", raising=False)
+        path = tmp_path / "e8.man"
+        path.write_text(
+            f"name = E8\nchi = -16\ntau = 8\nform = matrix {_E8_LITERAL}\nb1 = 13\nh1 = Z^13\n",
+            encoding="ascii",
+        )
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "manifold           E8\n"
+            "  chi              -16\n"
+            "  tau              8\n"
+            "  b1               13\n"
+            "  b2               8\n"
+            f"  form             matrix {_E8_LITERAL}\n"
+            "  H1               Z^13\n"
+            "spin               Spin\n"
+            "almost complex     Unknown\n"
+            "  reason           box search exhausted up to max-norm 32 without a hit\n"
+            "  search bound     32\n"
+            "symplectic         NotExists\n"
+            "  reason           c1^2 = -8 < 0 on a minimal manifold forces Kodaira "
+            "dimension -inf, i.e. a rational or ruled model\n"
+            "  reason           no rational or ruled model matches (b1, chi, tau)\n"
+            "complex            NotExists\n"
+            "  reason           class VII excluded: b1 = 13 != 1\n"
+            "  reason           no surface class matches (b1, c1^2, c2) = (13, -8, -16) "
+            "for any blow-up count\n"
+        )
+
+    def test_hyperbolic_plane_with_a_huge_b1(self, capsys, tmp_path, time_limit):
+        # H with b1 = 10**18: target 8 - 4 * 10**18, so 2ab = target lists one
+        # pair per signed divisor s of t = 1 - 5 * 10**17, as (2s, 2t/s)
+        time_limit(10)
+        b1 = 10**18
+        path = tmp_path / "h.man"
+        path.write_text(
+            f"name = H\nchi = {4 - 2 * b1}\ntau = 0\nform = H\nb1 = {b1}\nh1 = Z^{b1}\n",
+            encoding="ascii",
+        )
+        code, out, err = run(capsys, "enumerate", "--file", str(path), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        # |t| = 223 * 208513 * 10753058401, three primes, checked by trial division
+        t, primes = 1 - 5 * 10**17, (223, 208513, 10753058401)
+        assert math.prod(primes) == -t
+        assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
+        divisors = [math.prod(c) for k in range(4) for c in itertools.combinations(primes, k)]
+        pairs = sorted((2 * s, 2 * (t // s)) for d in divisors for s in (d, -d))
+        doc = json.loads(out)
+        assert doc["complete"] is True
+        assert doc["target_square"] == 8 - 4 * b1
+        assert [tuple(w["coefficients"]) for w in doc["witnesses"]] == pairs
 
 
 class TestLibraryAgreesWithAnalyze:

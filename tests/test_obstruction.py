@@ -1,6 +1,7 @@
 """Wu criterion machinery: targets, spin, residues, decisions, validation."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from fourfold.obstruction import (
     validate_invariants,
     wu_target,
 )
-from fourfold.obstruction import _hyperbolic_pair_witnesses
+from fourfold.obstruction import _divisors, _hyperbolic_pair_witnesses
 from oracles import E8_ROWS, H_ROWS, block_sum, box_solutions, box_solvable, quadratic_value
 
 
@@ -395,6 +396,26 @@ class TestEnumeration:
         enum = enumerate_chern_classes(_record(name="S2xS2"))
         seen = set(enum.coefficients)
         assert {tuple(-c for c in w) for w in seen} == seen
+
+
+class TestDivisors:
+    def test_match_a_sieve(self):
+        # the divisors of each m <= 5,000, collected by walking the multiples of each d
+        limit = 5000
+        sieve = [[] for _ in range(limit + 1)]
+        for d in range(1, limit + 1):
+            for m in range(d, limit + 1, d):
+                sieve[m].append(d)
+        for n in range(1, limit + 1):
+            assert _divisors(n) == _divisors(-n) == sieve[n]
+
+    def test_product_of_two_primes_near_a_billion(self, time_limit):
+        # trial division up to sqrt(n) would take about 10**9 steps
+        time_limit(10)
+        p, q = 999_999_937, 1_000_000_007
+        assert all(p % d and q % d for d in range(2, math.isqrt(q) + 1))
+        assert _divisors(p * q) == [1, p, q, p * q]
+        assert _divisors(-2 * p * q) == [1, 2, p, q, 2 * p, 2 * q, p * q, 2 * p * q]
 
 
 class TestValidation:

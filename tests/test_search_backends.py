@@ -18,9 +18,12 @@ from oracles import (
     block_sum,
     box_solutions,
     box_solvable,
+    diagonal_solution_count,
+    matmul,
     quadratic_value,
     random_summands,
     summand_residues,
+    transpose,
 )
 
 
@@ -350,12 +353,77 @@ class TestAgainstBruteForce:
     @example((_E8_H, [0] * 10, 2, 48))
     # diag(2,2,2,2): no box holds a solution, so the tables decide each one
     @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 20))
+    # <1> + <-1> + <1>: the equal first and last blocks see different live
+    # residuals but keep the same values, so one listing walk serves both
+    @example(([[1, 0, 0], [0, -1, 0], [0, 0, 1]], [1, 1, 1], 5, 1))
+    # equal blocks that are not adjacent: H + <-1> + H
+    @example((block_sum(H_ROWS, [[-1]], H_ROWS), [0, 0, 1, 0, 0], 4, 7))
+    # H + <2> + <1>, target 5: residual 1 is live at block 1, but less the
+    # value 8 that block 1 keeps for residual 9 it leaves -7, dead at block 2
+    @example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], [0, 1, 0, 1], 2, 5))
     @settings(max_examples=500, derandomize=True, deadline=None)
     def test_enumerate_on_block_sums(self, case):
         # the listing and the minimal witness, both against the brute force
         rows, residues, bound, target = case
         q = IntersectionForm(IntegerMatrix(rows))
         hits = box_solutions(rows, residues, bound, target)
+        assert enumerate_witnesses(q, residues, bound, target) == hits
+        assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
+
+
+    def test_listing_walks_each_distinct_block_twice(self, monkeypatch):
+        # H + <-1> + H: the two H blocks share one table walk and one listing walk
+        walks = []
+        prefixes = _pure.prefixes
+
+        def recording(qflat, residues, rank, limit):
+            walks.append(rank)
+            return prefixes(qflat, residues, rank, limit)
+
+        monkeypatch.setattr(_pure, "prefixes", recording)
+        rows = block_sum(H_ROWS, [[-1]], H_ROWS)
+        residues = (0, 0, 1, 0, 0)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert enumerate_witnesses(q, residues, 4, 7) == box_solutions(rows, residues, 4, 7)
+        assert sorted(walks) == [1, 1, 2, 2]
+
+
+@st.composite
+def _definite_cases(draw):
+    """(rows, residues, bound, target): the definite form L L^T or -L L^T of
+    rank 1 to 4, for L lower triangular and invertible over Q, with a
+    target of the wrong sign or 0."""
+    rank = draw(st.integers(1, 4))
+    low = [
+        [draw(st.integers(-2, 2)) if j < i else 0 for j in range(rank)] for i in range(rank)
+    ]
+    for i in range(rank):
+        low[i][i] = draw(st.sampled_from([-2, -1, 1, 2]))
+    sign = draw(st.sampled_from([1, -1]))
+    rows = [[sign * x for x in row] for row in matmul(low, transpose(low))]
+    residues = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
+    bound = draw(st.integers(0, 3))
+    target = -sign * draw(st.integers(0, 30))
+    return rows, residues, bound, target
+
+
+class TestSignRule:
+    """A definite form takes no value of the wrong sign, and 0 only at h = 0."""
+
+    @given(_definite_cases())
+    # positive definite E8: target -8 has no solution, target 0 only h = 0
+    @example((E8_ROWS, [0] * 8, 1, -8))
+    @example((E8_ROWS, [0] * 8, 1, 0))
+    @example((_NEG_E8, [1] + [0] * 7, 1, 0))
+    # semidefinite forms take 0 off h = 0, so the search decides them
+    @example(([[1, 1], [1, 1]], [1, 1], 1, 0))
+    @example(([[1, 0], [0, 0]], [0, 1], 1, 0))
+    @example(([[-1, 0], [0, 0]], [0, 1], 1, 0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_wrong_sign_and_zero_targets(self, case):
+        rows, residues, bound, target = case
+        hits = box_solutions(rows, residues, bound, target)
+        q = IntersectionForm(IntegerMatrix(rows))
         assert enumerate_witnesses(q, residues, bound, target) == hits
         assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
 
@@ -385,3 +453,25 @@ class TestWorstCase:
         # 2(-E8) + 3H, the intersection form of K3
         q = IntersectionForm(IntegerMatrix(block_sum(_NEG_E8, _NEG_E8, H_ROWS, H_ROWS, H_ROWS)))
         assert find_minimal_witness(q, (0,) * 22, 32, 16) == (-2,) * 8 + (0,) * 8 + (-2,) * 6
+
+    def test_listing_cp2_7cp2bar(self):
+        entries, residues = [1] + [-1] * 7, (1,) * 8
+        q = IntersectionForm.diagonal(entries)
+        hits = enumerate_witnesses(q, residues, 8, 2)
+        assert len(hits) == diagonal_solution_count(entries, residues, 8, 2) == 37_888
+        assert hits[0] == (-7, -5, -3, -3, -1, -1, -1, -1)
+        assert hits[-1] == (7, 5, 3, 3, 1, 1, 1, 1)
+        assert hits == sorted(set(hits))
+        assert {tuple(-c for c in h) for h in hits} == set(hits)
+        assert all(q.evaluate(h) == 2 for h in hits)
+
+    def test_definite_e8_at_the_default_bound(self, time_limit):
+        # the whole box of E8 at bound 32 holds 33**8 points; the sign answers
+        time_limit(10)
+        q = IntersectionForm(IntegerMatrix(E8_ROWS))
+        assert find_minimal_witness(q, (0,) * 8, 32, -8) is None
+        assert enumerate_witnesses(q, (0,) * 8, 32, -8) == []
+        assert enumerate_witnesses(q, (0,) * 8, 32, 0) == [(0,) * 8]
+        q = IntersectionForm(IntegerMatrix(_NEG_E8))
+        assert find_minimal_witness(q, (1,) + (0,) * 7, 32, 0) is None
+        assert enumerate_witnesses(q, (0,) * 8, 32, 16) == []
