@@ -4,9 +4,9 @@ Everything here is arbitrary-precision: matrices hold Python ints, and a
 form's determinant and signature come together from one fraction-free
 Bareiss pass with symmetric pivoting per orthogonal component.  No float or
 rational ever appears, so no overflow or rounding can occur at any input
-size.  IntersectionForm.blocks is the one split of a form into contiguous
-orthogonal blocks that the search, the residue and the kH and diagonal
-checks read.
+size.  A form is stored as its contiguous orthogonal blocks,
+IntersectionForm.block_rows, which every reader of the form reads, each
+distinct block once; the dense matrix is a view, built on first read.
 
 Every integer the grammars take is read by read_int, and every
 comma-separated list by one scan, _scan_ints, whose C-level bytes methods
@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 import string
 import sys
+from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -83,9 +84,6 @@ class IntegerMatrix:
     def cols(self) -> int:
         return self._cols
 
-    def entry(self, i: int, j: int) -> int:
-        return self._data[i][j]
-
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
@@ -99,7 +97,7 @@ class IntegerMatrix:
         """Exact determinant of a symmetric matrix, by its form's one Bareiss pass."""
         if not self.is_symmetric:
             raise FormError("determinant needs a symmetric matrix")
-        return IntersectionForm._trusted(self).determinant
+        return IntersectionForm(self).determinant
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -154,12 +152,40 @@ def _bareiss_inertia(a: list[list[int]]) -> tuple[int, int]:
     return prev, negative
 
 
-class IntersectionForm:
-    """Symmetric integer matrix with cached structural metadata.
+Block = tuple[tuple[int, ...], ...]  # one block's square rows
+_H: Block = ((0, 1), (1, 0))
 
-    Wraps an :class:`IntegerMatrix` and exposes the handful of invariants the
-    obstruction engines need: parity, signature, determinant, unimodularity.
-    Metadata is computed lazily and exactly.
+
+def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Index sets of the connected components of the off-diagonal graph of
+    the square rows, each ascending, ordered by their smallest index."""
+    columns = range(len(rows))
+    seen: set[int] = set()
+    components = []
+    for start in columns:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for i in component:  # component grows while it is walked
+            for j in compress(columns, rows[i]):  # the row's nonzero columns
+                if j not in seen:
+                    seen.add(j)
+                    component.append(j)
+        components.append(sorted(component))
+    return components
+
+
+class IntersectionForm:
+    """Symmetric integer form, stored as its contiguous orthogonal blocks.
+
+    block_rows holds each block's square rows, in order; no block splits
+    into smaller contiguous orthogonal ones, so equal forms have equal
+    blocks.  hyperbolic(k) stores H k times, diagonal a 1x1 block per entry,
+    and a matrix literal is split once, its components' index spans merged
+    where they overlap.  Parity, signature, determinant and the residue are
+    read from the distinct blocks, lazily and exactly.  matrix is a view: a
+    literal's own matrix, or the blocks' dense sum, built on first read.
     """
 
     def __init__(self, matrix: IntegerMatrix):
@@ -167,13 +193,20 @@ class IntersectionForm:
             raise FormError("an intersection form must be square")
         if not matrix.is_symmetric:
             raise FormError("an intersection form must be symmetric")
-        self._matrix = matrix
+        rows, spans = matrix.entries(), []
+        for component in _components(rows):  # spans merged where they overlap
+            if spans and component[0] < spans[-1][1]:
+                spans[-1] = (spans[-1][0], max(spans[-1][1], component[-1] + 1))
+            else:
+                spans.append((component[0], component[-1] + 1))
+        self.block_rows = tuple(tuple(row[a:b] for row in rows[a:b]) for a, b in spans)
+        self.matrix = matrix  # the literal is its own view
 
     @classmethod
-    def _trusted(cls, matrix: IntegerMatrix) -> "IntersectionForm":
-        """A form on a matrix the caller built square and symmetric."""
+    def _of_blocks(cls, blocks: tuple[Block, ...]) -> "IntersectionForm":
+        """A form on blocks the caller built square and symmetric, none of them splittable."""
         form = cls.__new__(cls)
-        form._matrix = matrix
+        form.block_rows = blocks
         return form
 
     @classmethod
@@ -181,39 +214,38 @@ class IntersectionForm:
         """Direct sum of k copies of the hyperbolic plane."""
         if k < 1:
             raise FormError("hyperbolic sum needs k >= 1")
-        n = 2 * k
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i ^ 1] = 1  # i's partner in its plane
-            rows.append(tuple(row))
-        return cls._trusted(IntegerMatrix._trusted(tuple(rows)))
+        return cls._of_blocks((_H,) * k)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntersectionForm":
         if not entries:
             raise FormError("diagonal form needs at least one entry")
-        n = len(entries)
-        return cls(
-            IntegerMatrix(
-                [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-        )
+        return cls._of_blocks(tuple(((_check_int(d),),) for d in entries))
 
-    @property
+    @cached_property
     def matrix(self) -> IntegerMatrix:
-        return self._matrix
+        """The dense matrix, the blocks placed along the diagonal."""
+        n, rows = self.rank, []
+        for block, (a, b) in zip(self.block_rows, self.blocks):
+            rows += [(0,) * a + row + (0,) * (n - b) for row in block]
+        return IntegerMatrix._trusted(tuple(rows))
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return self._matrix.rows
+        return sum(map(len, self.block_rows))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """(start, stop) of each of block_rows in the form's basis."""
+        stops = tuple(accumulate(map(len, self.block_rows)))
+        return tuple(zip((0,) + stops, stops))
 
     def evaluate(self, x: Sequence[int]) -> int:
         """Return Q(x, x)."""
         return self.pair(x, x)
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Return the bilinear pairing Q(x, y)."""
+        """Return the bilinear pairing Q(x, y), the sum of the blocks' pairings."""
         n = self.rank
         if len(x) != n or len(y) != n:
             raise FormError(f"vectors must have length {n}")
@@ -221,66 +253,39 @@ class IntersectionForm:
             _check_int(v)
         for v in y:
             _check_int(v)
-        rows = self._matrix.entries()
-        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, rows) if xi)
+        total = 0
+        for block, (a, b) in zip(self.block_rows, self.blocks):
+            xs = x[a:b]
+            if any(xs):
+                ys = y[a:b]
+                total += sum(xi * sum(map(mul, row, ys)) for xi, row in zip(xs, block) if xi)
+        return total
 
     @cached_property
     def is_even(self) -> bool:
         """True when every diagonal entry is even (type II form)."""
-        return all(self._matrix.entry(i, i) % 2 == 0 for i in range(self.rank))
-
-    @cached_property
-    def _components(self) -> list[list[int]]:
-        """Index sets of the connected components of the off-diagonal graph,
-        each ascending, ordered by their smallest index; found once per form."""
-        rows = self._matrix.entries()
-        columns = range(self.rank)
-        seen: set[int] = set()
-        components = []
-        for start in columns:
-            if start in seen:
-                continue
-            seen.add(start)
-            component = [start]
-            for i in component:  # component grows while it is walked
-                for j in compress(columns, rows[i]):  # the row's nonzero columns
-                    if j not in seen:
-                        seen.add(j)
-                        component.append(j)
-            components.append(sorted(component))
-        return components
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) of each contiguous orthogonal block, in order: the
-        components' index spans, merged where they overlap."""
-        spans: list[tuple[int, int]] = []
-        for component in self._components:  # ordered by smallest index
-            if spans and component[0] < spans[-1][1]:
-                spans[-1] = (spans[-1][0], max(spans[-1][1], component[-1] + 1))
-            else:
-                spans.append((component[0], component[-1] + 1))
-        return tuple(spans)
+        return not any(row[i] & 1 for block in set(self.block_rows) for i, row in enumerate(block))
 
     @cached_property
     def _inertia(self) -> tuple[int, int]:
-        """(determinant, negative eigenvalue count), one integer pass per component.
+        """(determinant, negative eigenvalue count), one pass per component of each distinct block.
 
         Grouping each component's indices is a simultaneous permutation of
         rows and columns, which keeps the determinant and the inertia.  So
-        the determinant is the product of the components' determinants, the
-        negative count their sum, and a degenerate component makes the whole
-        form degenerate, reported as (0, 0).  Components, not blocks, so
-        that a permuted basis does not merge into one O(n^3) pass.
+        the determinant is the product of the components' determinants, each
+        raised to its block's multiplicity, the negative count their sum,
+        and a degenerate component makes the whole form degenerate, reported
+        as (0, 0).  Components, not blocks, so that a permuted basis does
+        not merge into one O(n^3) pass.
         """
-        rows = self._matrix.entries()
         determinant, negative = 1, 0
-        for component in self._components:
-            d, neg = _bareiss_inertia([[rows[i][j] for j in component] for i in component])
-            if d == 0:
-                return 0, 0
-            determinant *= d
-            negative += neg
+        for block, count in Counter(self.block_rows).items():
+            for component in _components(block):
+                d, neg = _bareiss_inertia([[block[i][j] for j in component] for i in component])
+                if d == 0:
+                    return 0, 0
+                determinant *= d**count
+                negative += neg * count
         return determinant, negative
 
     @property
@@ -308,36 +313,31 @@ class IntersectionForm:
 
         Solves (Q c)_i = Q_ii mod 2 by Gaussian elimination over GF(2), block
         by block: the system splits as the form does, so c is the blocks'
-        solutions side by side.  On a unimodular form every block is
-        unimodular and its system uniquely solvable.  Even forms give the
-        zero vector, with no system solved.  Raises FormError for a form
-        that is not unimodular.
+        solutions side by side, each distinct block solved once.  On a
+        unimodular form every block is unimodular and its system uniquely
+        solvable.  Even forms give the zero vector, with no system solved.
+        Raises FormError for a form that is not unimodular.
         """
         if not self.is_unimodular:
             raise FormError("characteristic residue needs a unimodular form")
         if self.is_even:
             return (0,) * self.rank
-        entries = self._matrix.entries()
-        residue: list[int] = []
-        for a, b in self.blocks:
-            n = b - a
-            rows = [
-                [v & 1 for v in row[a:b]] + [row[i] & 1] for i, row in enumerate(entries[a:b], a)
-            ]
-            pivots = 0
+        solved = {}
+        for block in set(self.block_rows):
+            n = len(block)
+            rows = [[v & 1 for v in row] + [row[i] & 1] for i, row in enumerate(block)]
             for col in range(n):
-                pivot = next((r for r in range(pivots, n) if rows[r][col]), None)
+                pivot = next((r for r in range(col, n) if rows[r][col]), None)
                 if pivot is None:
                     # cannot happen for unimodular blocks: det is odd, so the
                     # mod-2 matrix is invertible
                     raise FormError("mod-2 system is singular despite unimodularity")
-                rows[pivots], rows[pivot] = rows[pivot], rows[pivots]
+                rows[col], rows[pivot] = rows[pivot], rows[col]
                 for other in range(n):
-                    if other != pivots and rows[other][col]:
-                        rows[other] = [x ^ y for x, y in zip(rows[other], rows[pivots])]
-                pivots += 1
-            residue.extend(row[n] for row in rows)
-        return tuple(residue)
+                    if other != col and rows[other][col]:
+                        rows[other] = [x ^ y for x, y in zip(rows[other], rows[col])]
+            solved[block] = tuple(row[n] for row in rows)
+        return tuple(c for block in self.block_rows for c in solved[block])
 
     @cached_property
     def hyperbolic_summands(self) -> int | None:
@@ -346,10 +346,8 @@ class IntersectionForm:
         This is a syntactic check, not an isometry test: a form isometric to
         kH in a rotated or permuted basis is not recognized.
         """
-        rows = self._matrix.entries()
-        # a block holds every nonzero entry of its rows
-        if all(tuple(row[a:b] for row in rows[a:b]) == ((0, 1), (1, 0)) for a, b in self.blocks):
-            return len(self.blocks) or None
+        if self.block_rows and set(self.block_rows) == {_H}:
+            return len(self.block_rows)
         return None
 
     def descriptor(self) -> str:
@@ -359,19 +357,18 @@ class IntersectionForm:
             return "H"
         if k is not None:
             return f"{k}H"
-        rows = self._matrix.entries()
-        if all(b - a == 1 for a, b in self.blocks):
-            return "diag(" + ",".join(str(row[i]) for i, row in enumerate(rows)) + ")"
-        inner = ",".join("[" + ",".join(map(str, row)) + "]" for row in rows)
+        if all(len(block) == 1 for block in self.block_rows):
+            return "diag(" + ",".join(str(block[0][0]) for block in self.block_rows) + ")"
+        inner = ",".join("[" + ",".join(map(str, row)) + "]" for row in self.matrix.entries())
         return f"matrix [{inner}]"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntersectionForm):
             return NotImplemented
-        return self._matrix == other._matrix
+        return self.block_rows == other.block_rows
 
     def __hash__(self) -> int:
-        return hash(self._matrix)
+        return hash(self.block_rows)
 
     def __repr__(self) -> str:
         return f"IntersectionForm({self.descriptor()!r})"

@@ -28,7 +28,7 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            settle the lex-smallest witness of minimal max-norm: each
            follows a box without a solution, so its solutions lie on its
            outer shell.  Every box is decided one way, on the form's
-           orthogonal blocks (IntersectionForm.blocks): a first-hit sweep,
+           orthogonal blocks (IntersectionForm.block_rows): a first-hit sweep,
            one incremental prefix walk that solves the last coordinate as
            a 1-D quadratic, that may walk only as many prefixes as the
            per-block value tables have points; cut short, the tables and
@@ -288,11 +288,11 @@ def _split(n: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The prime factors of 43**2 <= n < _PRIME_TEST_EXACT_BELOW, with multiplicity.
+    """The prime factors of 1 <= n < _PRIME_TEST_EXACT_BELOW, with multiplicity.
 
-    Trial division by _SMALL_PRIMES, then Pollard's rho on the cofactor
-    until every piece is prime by Miller-Rabin, which is exact there.  A
-    piece below 43**2 has no factor below 43, so it is prime.
+    Trial division by _SMALL_PRIMES while p * p <= n, then Pollard's rho on
+    the cofactor until every piece is prime by Miller-Rabin, which is exact
+    there.  A piece below 43**2 has no factor below 43, so it is prime.
     """
     primes = []
     for p in _SMALL_PRIMES:
@@ -315,12 +315,11 @@ def _prime_factors(n: int) -> list[int]:
 def _divisors(n: int) -> list[int]:
     """Positive divisors of |n|, ascending; n must be nonzero.
 
-    From 43**2 up to _PRIME_TEST_EXACT_BELOW they come from |n|'s prime
-    factors.  Below, trial division up to sqrt(|n|) is as fast, and above
-    it nothing is guessed: it is exact everywhere.
+    Below _PRIME_TEST_EXACT_BELOW they come from |n|'s prime factors.  Above
+    it nothing is guessed: trial division up to sqrt(|n|), exact everywhere.
     """
     n = abs(n)
-    if 43 * 43 <= n < _PRIME_TEST_EXACT_BELOW:
+    if n < _PRIME_TEST_EXACT_BELOW:
         divisors = {1}
         for p in _prime_factors(n):
             divisors |= {d * p for d in divisors}

@@ -7,7 +7,7 @@ the last empty one and the hit's max-norm are then decided in order, each
 for its first solution.
 
 Both the search and the listing read the form as its contiguous orthogonal
-blocks, IntersectionForm.blocks; on a direct sum q(h) is the sum of the
+blocks, IntersectionForm.block_rows; on a direct sum q(h) is the sum of the
 blocks' squares.  A walk of each distinct block's parity box gives its
 table, which maps each value the block takes to its lex-first vector of that
 value, and the suffix sumsets reach[b] hold the values the blocks after b
@@ -145,11 +145,11 @@ Block = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def _blocks(form: IntersectionForm, residues: Sequence[int]) -> list[Block]:
-    """(flattened matrix, residues, rank) of each block; equal blocks compare equal."""
-    rows, residues = form.matrix.entries(), tuple(residues)
+    """(flattened rows, residues, rank) of each of form.block_rows; equal blocks compare equal."""
+    residues = tuple(residues)
     return [
-        (tuple([x for row in rows[a:b] for x in row[a:b]]), residues[a:b], b - a)
-        for a, b in form.blocks
+        (tuple(_flatten(rows)), residues[a:b], b - a)
+        for rows, (a, b) in zip(form.block_rows, form.blocks)
     ]
 
 
@@ -325,7 +325,7 @@ def enumerate_witnesses(
     settled = _sign_settled(form, residues, target)
     if settled is not None:
         return settled
-    if len(form.blocks) < 2:
+    if len(form.block_rows) < 2:
         qflat = _flatten(form.matrix.entries())
         return _pure.all_hits(qflat, list(residues), form.rank, bound, target)
     return _block_listing(_blocks(form, residues), bound, target)

@@ -5,7 +5,8 @@ from cofactor expansion (of large matrices, from Gaussian elimination over
 the rationals), ranks over Q and over GF(p) from Gaussian elimination,
 Smith diagonals from the gcds of minors (determinantal divisors),
 signatures from Descartes' rule of signs on the integer characteristic
-polynomial, solvability over a box comes from an exact per-block value-set
+polynomial, the finest contiguous block split from the zero off-block
+rectangles, solvability over a box comes from an exact per-block value-set
 convolution, the solution count of a diagonal form from a per-coordinate
 value-count convolution, and the raw sweep oracles walk the box with numpy
 or with itertools.product.  The surface classes of a record come from trying
@@ -199,6 +200,16 @@ def block_sum(*blocks: Sequence[Sequence[int]]) -> list[list[int]]:
             rows[offset + i][offset : offset + len(b)] = row
         offset += len(b)
     return rows
+
+
+def contiguous_blocks(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """(start, stop) of the finest split of a symmetric matrix into contiguous
+    orthogonal blocks: a cut before index c when every entry with one index
+    below c and the other at or above c is zero."""
+    n = len(rows)
+    cuts = [c for c in range(1, n) if not any(rows[i][j] for i in range(c) for j in range(c, n))]
+    edges = [0] + cuts + [n] if n else []
+    return list(zip(edges, edges[1:]))
 
 
 # Summand vocabulary for assembled forms: "H" or ("diag", d).

@@ -571,6 +571,38 @@ class TestStallGuards:
         assert doc["target_square"] == 8 - 4 * b1
         assert [tuple(w["coefficients"]) for w in doc["witnesses"]] == pairs
 
+    @pytest.mark.parametrize(
+        "command, verdict",
+        [("analyze", ["spin               Spin", "almost complex     Exists"]),
+         ("validate", ["status             ok"])],
+    )
+    @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is POSIX")
+    def test_large_family_under_an_address_space_cap(self, command, verdict):
+        # 20000H stored as blocks; a dense 40000 x 40000 form needs gigabytes.
+        # A subprocess, so that a MemoryError cannot take this session down.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "fourfold", command, "--family", "M4 n=20000"]
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=_module_env(), preexec_fn=cap, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        lines = proc.stdout.splitlines()
+        assert lines[: 8 + len(verdict)] == [
+            "manifold           M4(n=20000)",
+            "  chi              -40000",
+            "  tau              0",
+            "  b1               40001",
+            "  b2               40000",
+            "  form             20000H",
+            "  H1               Z^40001",
+            "  w2               0",
+            *verdict,
+        ]
+
 
 class TestLibraryAgreesWithAnalyze:
     """The library engines give the structure cascade, so they say what analyze says."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,11 @@ from oracles import (
     H_ROWS,
     block_sum,
     cofactor_determinant,
+    contiguous_blocks,
     descartes_signature,
     matmul,
+    quadratic_value,
+    rational_determinant,
     transpose,
 )
 
@@ -69,8 +73,8 @@ class TestGrammar:
     def test_hyperbolic_sum(self):
         q = build_form("3H")
         assert q.rank == 6
-        assert q.matrix.entry(2, 3) == 1
-        assert q.matrix.entry(0, 3) == 0
+        assert q.matrix.entries()[2][3] == 1
+        assert q.matrix.entries()[0][3] == 0
         assert q == IntersectionForm.hyperbolic(3)
 
     def test_diagonal(self):
@@ -366,6 +370,91 @@ class TestBlocks:
     def test_interleaved_components_merge(self):
         # {0, 2} and {1} are components, but {0, 2} spans index 1
         assert build_form("matrix [[1,0,1],[0,1,0],[1,0,2]]").blocks == ((0, 3),)
+
+
+# H, <1>, <-1>, <2>, <0>, E8, an odd rank-2 block and a degenerate one
+_SUMMANDS = [H_ROWS, [[1]], [[-1]], [[2]], [[0]], E8_ROWS, [[1, 1], [1, 0]], [[1, 1], [1, 1]]]
+
+
+@st.composite
+def stored_block_sums(draw):
+    """Rows of a block sum of _SUMMANDS, sometimes permuted."""
+    blocks = draw(st.lists(st.sampled_from(_SUMMANDS), min_size=1, max_size=5))
+    n = sum(len(b) for b in blocks)
+    perm = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
+    return _permuted_block_sum(blocks, perm)
+
+
+class TestBlockStorage:
+    """A literal, its descriptor's form, its dense view's form and its blocks agree."""
+
+    @given(stored_block_sums(), st.randoms(use_true_random=False))
+    @example(block_sum(H_ROWS, H_ROWS, H_ROWS), random.Random(0))
+    @example(block_sum([[1]], [[-1]], [[0]], [[2]]), random.Random(0))
+    @example(_permuted_block_sum([H_ROWS, [[1]], H_ROWS], [4, 0, 2, 1, 3]), random.Random(0))
+    @settings(max_examples=150, derandomize=True)
+    def test_constructions_agree_with_the_oracles(self, rows, rng):
+        q = IntersectionForm(IntegerMatrix(rows))
+        entries = tuple(map(tuple, rows))
+        spans = tuple(contiguous_blocks(rows))
+        split = tuple(tuple(row[a:b] for row in entries[a:b]) for a, b in spans)
+        forms = [
+            q,
+            build_form(q.descriptor()),
+            IntersectionForm(IntegerMatrix(q.matrix.entries())),
+            IntersectionForm._of_blocks(split),
+        ]
+        changed = [row[:] for row in rows]
+        changed[0][0] += 1
+        other = IntersectionForm(IntegerMatrix(changed))
+        determinant = rational_determinant(rows)
+        n = len(rows)
+        kh = n // 2 if rows == block_sum(*[H_ROWS] * (n // 2)) else None
+        vectors = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(5)]
+        for form in forms:
+            assert form == q and hash(form) == hash(q) and form != other
+            assert form.matrix.entries() == entries
+            assert (form.blocks, form.block_rows) == (spans, split)
+            assert form.rank == n and form.determinant == determinant
+            if determinant:
+                assert form.signature == descartes_signature(rows)
+            else:
+                with pytest.raises(DegenerateFormError):
+                    _ = form.signature
+            assert form.is_even == all(rows[i][i] % 2 == 0 for i in range(n))
+            if determinant in (1, -1):
+                # the residue c is the unique class with Q c = diag Q mod 2
+                c = form.characteristic_residue
+                assert set(c) <= {0, 1}
+                assert all((sum(map(math.prod, zip(row, c))) - row[i]) % 2 == 0
+                           for i, row in enumerate(rows))
+            else:
+                with pytest.raises(FormError):
+                    _ = form.characteristic_residue
+            assert form.hyperbolic_summands == kh
+            assert form.descriptor() == q.descriptor()
+            for x in vectors:
+                assert form.evaluate(x) == quadratic_value(rows, x)
+
+    @pytest.mark.parametrize("entries", [[1.5], [True], []])
+    def test_diagonal_rejects_non_integer_and_empty_entries(self, entries):
+        with pytest.raises(FormError):
+            IntersectionForm.diagonal(entries)
+
+    def test_large_hyperbolic_metadata_stays_small(self, time_limit):
+        # the blocks are 2000 references to one H: no 4000 x 4000 matrix is built
+        time_limit(10)
+        tracemalloc.start()
+        try:
+            q = build_form("2000H")
+            assert q.signature == 0
+            assert q.characteristic_residue == (0,) * 4000
+            assert q.blocks == tuple((a, a + 2) for a in range(0, 4000, 2))
+            assert q.descriptor() == "2000H"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestIntegerMatrix:
