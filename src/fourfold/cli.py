@@ -10,11 +10,12 @@ Subcommands:
 
 Manifolds come either from --family "M1 g=2" style specs or from --file in a
 line-oriented key = value format (see parse_manifold_file).  Exit codes:
-1 for parse errors, for derived integers too long to write and (silently)
-for an output pipe closed by its reader, 2 for invariant validation
-failures, 0 otherwise.  The default search bound is 32; the FOURFOLD_BOUND
-environment variable overrides it and the --bound flag wins over both.  All
-output is deterministic: two runs on the same input are byte-identical.
+1 for parse errors, for derived integers too long to write, for running out
+of memory and (silently) for an output pipe closed by its reader, 2 for
+invariant validation failures, 0 otherwise.  The default search bound is
+32; the FOURFOLD_BOUND environment variable overrides it and the --bound
+flag wins over both.  All output is deterministic: two runs on the same
+input are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 from typing import Sequence
 
 from .abelian import Presentation, PresentationError, Row, parse_abelian_group
@@ -43,6 +43,7 @@ from .obstruction import (
     validate_invariants,
     wu_target,
 )
+from .search import Layout
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -223,31 +224,49 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _fill(item: str, sep: str, coefficients: tuple[tuple[int, ...], ...]) -> str:
-    """One copy of item per coefficient tuple, joined by sep, filled by one %."""
-    return sep.join([item] * len(coefficients)) % tuple(chain.from_iterable(coefficients))
+# the text listing's layout: f"  {w}" of each ChernWitness w
+_TEXT_LAYOUT = Layout("  (", ", ", ")")
+
+# the number of listed items per write to stdout
+_CHUNK = 4096
 
 
-def _emit_enumeration_json(header: dict, result: ChernEnumeration) -> None:
+def _json_layout(rank: int, square: int) -> Layout:
+    """json.dumps(indent=2)'s text of one witness in the "witnesses" list.
+
+    It puts every witness at the same indents, and every listed witness has
+    the same square, so only the coefficients differ from item to item.
+    """
+    # json.dumps writes an empty list as [] on one line
+    vector = ("[\n        ", ",\n        ", "\n      ]") if rank else ("[", "", "]")
+    return Layout(
+        '    {\n      "coefficients": ' + vector[0],
+        vector[1],
+        f'{vector[2]},\n      "square": {square}\n    }}',
+    )
+
+
+def _write_items(head: str, items: Sequence[str], sep: str, end: str) -> None:
+    """Write head, the items joined by sep and end to stdout, _CHUNK items per write."""
+    write = sys.stdout.write
+    write(head)
+    for i in range(0, len(items), _CHUNK):
+        write((sep if i else "") + sep.join(items[i : i + _CHUNK]))
+    write(end)
+
+
+def _emit_enumeration_json(header: dict, items: Sequence[str]) -> None:
     """_emit_json of header plus a last "witnesses" key, byte for byte.
 
-    json.dumps(indent=2) puts every witness at the same indents, and every
-    listed witness has the same square, so the list is one per-rank item
-    template filled with the flattened coefficients.
+    items are the witnesses' texts in _json_layout, as json.dumps(indent=2)
+    writes each one inside the list.
     """
-    coefficients = result.coefficients
-    listing = "[]"
-    if coefficients:
-        rank = len(coefficients[0])
-        # json.dumps writes an empty list as [] on one line
-        vector = "[\n" + ",\n".join(["        %d"] * rank) + "\n      ]" if rank else "[]"
-        item = (
-            f'    {{\n      "coefficients": {vector},\n'
-            f'      "square": {result.square}\n    }}'
-        )
-        listing = "[\n" + _fill(item, ",\n", coefficients) + "\n  ]"
     # the header ends in "\n}"; the witnesses key goes in before it
-    print(json.dumps(header, indent=2)[:-2] + ',\n  "witnesses": ' + listing + "\n}")
+    head = json.dumps(header, indent=2)[:-2] + ',\n  "witnesses": '
+    if items:
+        _write_items(head + "[\n", items, ",\n", "\n  ]\n}\n")
+    else:
+        sys.stdout.write(head + "[]\n}\n")
 
 
 def _kv(key: str, value, indent: int = 0) -> str:
@@ -320,8 +339,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_enumerate(args) -> int:
     m = _load_manifold(args)
     bound = _resolve_bound(args)
-    result: ChernEnumeration = enumerate_chern_classes(m, bound=bound)
     target = wu_target(m.chi, m.tau)
+    layout = _json_layout(m.form.rank, target) if args.json else _TEXT_LAYOUT
+    result: ChernEnumeration = enumerate_chern_classes(m, bound=bound, layout=layout)
+    items = result.items
     if args.json:
         _emit_enumeration_json(
             {
@@ -330,20 +351,19 @@ def _cmd_enumerate(args) -> int:
                 "complete": result.complete,
                 "bound": result.bound,
             },
-            result,
+            items,
         )
         return EXIT_OK
-    coefficients = result.coefficients
     lines = _manifold_lines(m)
     lines.append(_kv("target square", target))
     marker = "COMPLETE" if result.complete else f"BOUNDED({result.bound})"
     lines.append(_kv("completeness", marker))
-    lines.append(_kv("witnesses", len(coefficients)))
-    if coefficients:
-        # the lines of f"  {w}" for each ChernWitness w, from one template
-        line = "  (" + ", ".join(["%d"] * len(coefficients[0])) + ")"
-        lines.append(_fill(line, "\n", coefficients))
-    print("\n".join(lines))
+    lines.append(_kv("witnesses", len(items)))
+    head = "\n".join(lines)
+    if items:
+        _write_items(head + "\n", items, "\n", "\n")
+    else:
+        sys.stdout.write(head + "\n")
     return EXIT_OK
 
 
@@ -428,6 +448,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _UsageError, FormError, PresentationError, FamilyParameterError, ManifoldFileError, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        # a listing or a form too large for the memory left
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PARSE
     except InvariantError as exc:
         for violation in exc.violations:

@@ -249,10 +249,10 @@ class IntersectionForm:
         n = self.rank
         if len(x) != n or len(y) != n:
             raise FormError(f"vectors must have length {n}")
-        for v in x:
-            _check_int(v)
-        for v in y:
-            _check_int(v)
+        for v in (x,) if y is x else (x, y):
+            if not set(map(type, v)) <= {int}:  # exact ints pass in one pass
+                for c in v:
+                    _check_int(c)
         total = 0
         for block, (a, b) in zip(self.block_rows, self.blocks):
             xs = x[a:b]

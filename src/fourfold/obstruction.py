@@ -396,23 +396,27 @@ class ChernEnumeration:
     """Witness listing; complete means the list is provably exhaustive.
 
     Every listed class has the same square, so the listing keeps the raw
-    coefficient tuples and that one square.
+    coefficient tuples and that one square.  A listing asked for a layout
+    keeps each witness's text in it instead, as items, and its coefficients
+    are None.
     """
 
-    coefficients: tuple[tuple[int, ...], ...]
+    coefficients: tuple[tuple[int, ...], ...] | None
     square: int
     complete: bool
     bound: int | None = None
+    items: tuple[str, ...] | None = None
 
 
 def enumerate_chern_classes(
-    m: ManifoldInvariants, bound: int = DEFAULT_BOUND
+    m: ManifoldInvariants, bound: int = DEFAULT_BOUND, layout: search.Layout | None = None
 ) -> ChernEnumeration:
     """All Chern candidates with max coefficient up to the bound.
 
     Output is duplicate-free, lexicographically sorted and closed under
     negation.  For a rank-2 hyperbolic form with nonzero target the divisor
-    enumeration is complete and the bound is ignored.
+    enumeration is complete and the bound is ignored.  With a layout the
+    listing is each candidate's text in it (see search.Layout).
     """
     residue = resolve_w2(m)
     form = m.form
@@ -420,11 +424,15 @@ def enumerate_chern_classes(
 
     # every divisor pair and sweep hit has square target by construction
     if form.hyperbolic_summands == 1 and residue == (0, 0) and target != 0:
-        pairs = _hyperbolic_pair_witnesses(target)
-        return ChernEnumeration(tuple(pairs), target, complete=True)
-
-    hits = search.enumerate_witnesses(form, residue, bound, target)
-    return ChernEnumeration(tuple(hits), target, complete=False, bound=bound)
+        hits, complete, bound = _hyperbolic_pair_witnesses(target), True, None
+        if layout is not None:
+            hits = map(layout.item, hits)
+    else:
+        hits = search.enumerate_witnesses(form, residue, bound, target, layout)
+        complete = False
+    if layout is None:
+        return ChernEnumeration(tuple(hits), target, complete, bound)
+    return ChernEnumeration(None, target, complete, bound, items=tuple(hits))
 
 
 def validate_invariants(m: ManifoldInvariants) -> list[str]:

@@ -29,6 +29,13 @@ then builds, block by block from the last, the lex-ordered suffix lists of
 each live residual, and the first block's list for the target is the
 answer.
 
+Given a Layout, the listing gives each witness's text instead of its
+coefficient tuple.  The join then concatenates rendered pieces as it
+concatenates tuples, so each walked block vector is formatted once per
+block position, not once per witness.  The one-block and sign-settled
+listings, like obstruction's divisor listing, render each whole vector with
+Layout.item.
+
 Everything reads _pure.prefixes, which keeps each prefix's square and its
 cross term with the last coordinate as running values: the sweeps solve the
 last coordinate in closed form, the tables and the listing evaluate it
@@ -41,7 +48,7 @@ tracer that wraps those attributes sees them.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from . import _pure
 from .forms import IntersectionForm
@@ -139,6 +146,18 @@ def _sign_settled(
     if target or any(residues):
         return []
     return [(0,) * form.rank]
+
+
+class Layout(NamedTuple):
+    """How a listing writes a witness: open, its coefficients joined by sep, close."""
+
+    open: str
+    sep: str
+    close: str
+
+    def item(self, x: Sequence[int]) -> str:
+        """The whole text of the witness x."""
+        return self.open + self.sep.join(map(str, x)) + self.close
 
 
 Block = tuple[tuple[int, ...], tuple[int, ...], int]
@@ -254,7 +273,25 @@ def _block_search(
     return first
 
 
-def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[int, ...]]:
+def _pieces(
+    listed: list[tuple[tuple[int, ...], int]], layout: Layout | None, b: int, last: int
+) -> list:
+    """(piece, value) of block b's listed vectors: the vector itself, or its text in layout.
+
+    The first block's text opens the witness's item, every block's text but
+    the last's ends with sep, and the last block's closes the item.  So
+    equal blocks share a walked list but not a text, and one piece per
+    block, concatenated, is the item.
+    """
+    if layout is None:
+        return listed
+    sep = layout.sep
+    head = layout.open if b == 0 else ""
+    tail = layout.close if b == last else sep
+    return [(head + sep.join(map(str, x)) + tail, v) for x, v in listed]
+
+
+def _block_listing(blocks: list[Block], bound: int, target: int, layout: Layout | None) -> list:
     """The box solutions of a form with two or more blocks, in lex order.
 
     The block tables give each block's value set and the suffix sumsets
@@ -274,6 +311,10 @@ def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[i
     lexicographic order, and tail_0[target] is the answer.  Every live
     suffix extends to a witness, so a level holds no more suffixes than the
     output has rows, and only two levels are alive at once.
+
+    The join reads each block's pieces (_pieces): its vectors, so that a
+    suffix is a tuple, or with a layout their texts, so that a suffix is the
+    text of its coefficients and tail_0[target] holds finished items.
     """
     tables, reach = _tables(blocks, bound)
     last = len(blocks) - 1
@@ -296,11 +337,11 @@ def _block_listing(blocks: list[Block], bound: int, target: int) -> list[tuple[i
         if block not in lists:
             lists[block] = list(_walk(*block, bound, table.keys() - keep[block]))
 
-    tail: dict[int, list[tuple[int, ...]]] = {}
-    for x, q in lists[blocks[last]]:
+    tail: dict[int, list] = {}
+    for x, q in _pieces(lists[blocks[last]], layout, last, last):
         tail.setdefault(q, []).append(x)
     for b in range(last - 1, -1, -1):
-        listed, after = lists[blocks[b]], tail
+        listed, after = _pieces(lists[blocks[b]], layout, b, last), tail
         tail = {r: [x + s for x, v in listed for s in after.get(r - v, ())] for r in lives[b]}
     return tail[target]
 
@@ -310,22 +351,24 @@ def enumerate_witnesses(
     residues: Sequence[int],
     bound: int,
     target: int,
-) -> list[tuple[int, ...]]:
+    layout: Layout | None = None,
+) -> list:
     """All solutions in the box, in lexicographic order.
 
-    A form of two or more blocks is listed block by block (see
-    _block_listing).  A form of one block is listed by one all_hits sweep,
-    which solves the last coordinate; its table would evaluate every point
-    of the box.  A definite form whose target's sign settles the listing
-    is answered without either, as in find_minimal_witness.  The residues
-    are trusted, as there.
+    Each solution is its coefficient tuple, or with a layout its text in
+    that layout.  A form of two or more blocks is listed block by block
+    (see _block_listing).  A form of one block is listed by one all_hits
+    sweep, which solves the last coordinate; its table would evaluate every
+    point of the box.  A definite form whose target's sign settles the
+    listing is answered without either, as in find_minimal_witness.  The
+    residues are trusted, as there.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
-    settled = _sign_settled(form, residues, target)
-    if settled is not None:
-        return settled
-    if len(form.block_rows) < 2:
+    hits = _sign_settled(form, residues, target)
+    if hits is None:
+        if len(form.block_rows) >= 2:
+            return _block_listing(_blocks(form, residues), bound, target, layout)
         qflat = _flatten(form.matrix.entries())
-        return _pure.all_hits(qflat, list(residues), form.rank, bound, target)
-    return _block_listing(_blocks(form, residues), bound, target)
+        hits = _pure.all_hits(qflat, list(residues), form.rank, bound, target)
+    return hits if layout is None else list(map(layout.item, hits))

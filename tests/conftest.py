@@ -30,6 +30,20 @@ class Overran(BaseException):
     """Not an Exception, so Hypothesis does not catch it and shrink, re-running the hang."""
 
 
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Report an Overran as its own test's failure, without a traceback.
+
+    The alarm can fire in a frame whose line number reads None, and pytest's
+    traceback formatter then stops the whole session with an INTERNALERROR.
+    """
+    try:
+        return (yield)
+    except Overran as exc:
+        overran = str(exc)
+    pytest.fail(overran, pytrace=False)
+
+
 @pytest.fixture
 def time_limit():
     """time_limit(seconds) fails the test once it has run that long, as a loop

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourfold
-from fourfold import obstruction
+from fourfold import obstruction, search
 from fourfold.abelian import Presentation, PresentationError
 from fourfold.cli import (
     EXIT_INVALID,
@@ -28,6 +28,7 @@ from fourfold.cli import (
     EXIT_PARSE,
     ManifoldFileError,
     _emit_enumeration_json,
+    _json_layout,
     format_manifold_file,
     main,
     parse_manifold_file,
@@ -36,7 +37,14 @@ from fourfold.abelian import AbelianGroup
 from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.families import FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix, IntersectionForm, read_int, read_ints, read_sparse_ints
-from fourfold.obstruction import ManifoldInvariants, almost_complex_excluded
+from fourfold.obstruction import (
+    ChernWitness,
+    ManifoldInvariants,
+    almost_complex_excluded,
+    enumerate_chern_classes,
+    resolve_w2,
+    wu_target,
+)
 from oracles import E8_ROWS, H_ROWS, block_sum
 
 GOOD_FILE = """\
@@ -396,6 +404,34 @@ class TestAnalyze:
         assert len(solves) == 1
 
 
+# the blocks of the listing test: H, <1>, <-1>, <2> and the odd plane
+_ODD_PLANE = [[1, 1], [1, 0]]
+_LISTING_BLOCKS = [H_ROWS, [[1]], [[-1]], [[2]], _ODD_PLANE]
+
+
+def _block_record(blocks, order, b1, bits) -> ManifoldInvariants:
+    """A valid record on the block sum, its basis reordered by order when given.
+
+    w2 is derived on a unimodular form and bits otherwise.
+    """
+    rows = block_sum(*blocks)
+    if order is not None:
+        rows = [[rows[i][j] for j in order] for i in order]
+    form = IntersectionForm(IntegerMatrix(rows))
+    w2 = None if form.is_unimodular else tuple(bits[: form.rank])
+    chi = 2 - 2 * b1 + form.rank
+    return ManifoldInvariants("blocks", chi, form.signature, form, b1, AbelianGroup(b1), w2)
+
+
+@st.composite
+def _block_sums(draw):
+    """(blocks, order): one to three listing blocks, half of the sums in a shuffled basis."""
+    blocks = draw(st.lists(st.sampled_from(_LISTING_BLOCKS), min_size=1, max_size=3))
+    rank = sum(len(b) for b in blocks)
+    order = draw(st.none() | st.permutations(range(rank)))
+    return blocks, order
+
+
 class TestEnumerate:
     def test_complete_marker(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--family", "M1 g=2")
@@ -427,6 +463,8 @@ class TestEnumerate:
             (None, ["--family", "M4 n=3", "--bound", "8"], 0),  # empty listing
             (_diag_file([1]), ["--bound", "5"], 2),  # rank 1, (-3) and (3)
             (_diag_file([1, -1, -1, -1]), ["--bound", "3"], 16),  # odd, rank 4
+            # CP2 # 4 CP2bar: more witnesses than one chunk of stdout writes
+            (_diag_file([1, -1, -1, -1, -1]), ["--bound", "16"], 5856),
         ],
     )
     def test_json_bytes_match_stdlib(self, capsys, tmp_path, source, argv, count):
@@ -440,11 +478,20 @@ class TestEnumerate:
         assert json.dumps(doc, indent=2) + "\n" == out
         assert len(doc["witnesses"]) == count
         assert list(doc)[-1] == "witnesses"
+        # the text listing: the same classes, one "  (c1, ..., cn)" line each
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.split("\n")
+        assert lines[-count - 2 :] == [f"witnesses          {count}"] + [
+            "  (" + ", ".join(map(str, w["coefficients"])) + ")" for w in doc["witnesses"]
+        ] + [""]
 
     def test_rank_zero_listing_matches_stdlib(self, capsys):
         # one witness, the empty class: its coefficients print as []
         header = {"target_square": 0, "complete": False, "bound": 3}
-        _emit_enumeration_json(header, obstruction.ChernEnumeration(((),), 0, False, 3))
+        empty = IntersectionForm(IntegerMatrix([]))
+        items = search.enumerate_witnesses(empty, (), 3, 0, _json_layout(0, 0))
+        _emit_enumeration_json(header, items)
         expected = dict(header, witnesses=[{"coefficients": [], "square": 0}])
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
@@ -473,6 +520,51 @@ class TestEnumerate:
         lines = text.getvalue().splitlines()
         assert lines[len(lines) - len(listed) :] == [
             "  (" + ", ".join(map(str, c)) + ")" for c in listed
+        ]
+
+    @given(
+        shape=_block_sums(),
+        b1=st.integers(0, 6),  # moves the target 3*tau + 2*chi in steps of 4
+        bits=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+        bound=st.integers(0, 4),
+    )
+    @example(shape=([[[1]], [[-1]], [[1]]], None), b1=0, bits=[0] * 6, bound=3)
+    @example(shape=([H_ROWS, [[-1]], H_ROWS], None), b1=1, bits=[0] * 6, bound=2)
+    @example(shape=([[[-1]]], None), b1=2, bits=[0] * 6, bound=4)  # rank 1
+    # positive definite E8, target 0: the sign settles the listing to h = 0
+    @example(shape=([E8_ROWS], None), b1=11, bits=[0] * 6, bound=2)
+    # the record of M1 g=1: H with target -8, listed by divisors
+    @example(shape=([H_ROWS], None), b1=4, bits=[0] * 6, bound=0)
+    @example(shape=([H_ROWS, H_ROWS], None), b1=0, bits=[0] * 6, bound=0)  # none listed
+    @settings(max_examples=120, deadline=None)
+    def test_listing_is_the_library_tuples_as_stdlib_writes_them(
+        self, tmp_path_factory, shape, b1, bits, bound
+    ):
+        m = _block_record(*shape, b1, bits)
+        target = wu_target(m.chi, m.tau)
+        enum = enumerate_chern_classes(m, bound)
+        if not enum.complete:
+            swept = search.enumerate_witnesses(m.form, resolve_w2(m), bound, target)
+            assert enum.coefficients == tuple(swept)
+        path = tmp_path_factory.mktemp("blocks") / "m.man"
+        path.write_text(format_manifold_file(m), encoding="ascii")
+        argv = ["enumerate", "--file", str(path), "--bound", str(bound)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv + ["--json"]) == EXIT_OK
+        doc = json.loads(out.getvalue())
+        assert (doc["target_square"], doc["complete"]) == (target, enum.complete)
+        assert doc["bound"] == enum.bound
+        witnesses = [{"coefficients": list(c), "square": target} for c in enum.coefficients]
+        assert out.getvalue() == json.dumps(dict(doc, witnesses=witnesses), indent=2) + "\n"
+        text = io.StringIO()
+        with redirect_stdout(text):
+            assert main(argv) == EXIT_OK
+        lines = text.getvalue().split("\n")
+        count = len(enum.coefficients)
+        assert lines[-1] == "" and lines[-count - 2] == f"witnesses          {count}"
+        assert lines[-count - 1 : -1] == [
+            f"  {ChernWitness(c, target)}" for c in enum.coefficients
         ]
 
 
@@ -602,6 +694,24 @@ class TestStallGuards:
             "  w2               0",
             *verdict,
         ]
+
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is POSIX")
+    def test_a_listing_past_the_memory_cap_ends_with_one_line(self):
+        # 10H at bound 4 lists far more witnesses than 1 GiB holds
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "fourfold", "enumerate", "--bound", "4"]
+        proc = subprocess.run(
+            [*argv, "--family", "M4 n=10"],
+            capture_output=True, text=True, env=_module_env(), preexec_fn=cap, timeout=60,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr == "error: out of memory\n"
+        assert proc.stdout == ""
 
 
 class TestLibraryAgreesWithAnalyze:

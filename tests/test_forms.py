@@ -167,6 +167,28 @@ class TestEvaluation:
         big = 2**200 + 3
         assert q.evaluate([big, big]) == 2 * big * big
 
+    @pytest.mark.parametrize(
+        "x, y, bad",
+        [
+            ((True, 0, 0, 0), None, "True"),
+            ((0, 0, 1.5, 0), None, "1.5"),
+            ((2, 0, 0.0, 0), None, "0.0"),  # at a zero coordinate, still refused
+            ((2, 2, 0, 0), (0, 0, 0, 0.0), "0.0"),  # in the second vector
+            ((2, "1", True, 0), None, "'1'"),  # the first bad entry is named
+        ],
+    )
+    def test_pairing_refuses_entries_that_are_not_ints(self, x, y, bad):
+        with pytest.raises(FormError, match=f"must be integers, got {bad}$"):
+            build_form("2H").pair(x, x if y is None else y)
+
+    def test_pairing_takes_an_int_subclass(self):
+        class Coefficient(int):
+            pass
+
+        x = [Coefficient(4), 2, 0, Coefficient(0)]
+        assert build_form("2H").evaluate(x) == 16
+        assert build_form("2H").pair(x, [1, 1, 1, 1]) == 6
+
 
 class TestParity:
     def test_even_forms(self):
