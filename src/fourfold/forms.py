@@ -28,10 +28,11 @@ from __future__ import annotations
 import re
 import string
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -245,7 +246,12 @@ class IntersectionForm:
         return self.pair(x, x)
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Return the bilinear pairing Q(x, y), the sum of the blocks' pairings."""
+        """Return the bilinear pairing Q(x, y), a sum over the nonzero coordinates of x.
+
+        Each such coordinate i meets y through its row of the block that
+        holds i, found by bisecting the blocks' stops, so a sparse x on many
+        blocks costs its nonzero coordinates, not a visit to every block.
+        """
         n = self.rank
         if len(x) != n or len(y) != n:
             raise FormError(f"vectors must have length {n}")
@@ -253,12 +259,13 @@ class IntersectionForm:
             if not set(map(type, v)) <= {int}:  # exact ints pass in one pass
                 for c in v:
                     _check_int(c)
-        total = 0
-        for block, (a, b) in zip(self.block_rows, self.blocks):
-            xs = x[a:b]
-            if any(xs):
-                ys = y[a:b]
-                total += sum(xi * sum(map(mul, row, ys)) for xi, row in zip(xs, block) if xi)
+        blocks, total, b = self.blocks, 0, 0
+        for i in compress(range(n), x):
+            if i >= b:  # past the current block: bisect for the one holding i
+                k = bisect_right(blocks, i, key=itemgetter(1))
+                a, b = blocks[k]
+                rows, ys = self.block_rows[k], y[a:b]
+            total += x[i] * sum(map(mul, rows[i - a], ys))
         return total
 
     @cached_property

@@ -16,28 +16,16 @@ exactly.  The existence decision runs tiers 0, 1 and 3; tier 2 only lists:
            8; (target/4, 2, 0, ..., 0) is an explicit witness for the rest.
            It is not always the lex-smallest witness of minimal max-norm
            that tier 3 would find.
-  tier 2   rank-2 H with w2 = 0 and a nonzero target: divisor enumeration
-           of 2ab = target is complete, from the prime factors of
-           target/8.  Only enumerate_chern_classes runs it;
-           decide_wu_existence never does, because H has residue 0 and
-           tier 1 settles it first.
-  tier 3   bounded box search (default bound 32): deepening boxes of
-           max-norm 0, 1, 2, 4, ..., bound, each decided by its lex-first
-           solution, stop at the first box with one.  The boxes between the
-           last empty one and the hit's max-norm, decided in order, then
-           settle the lex-smallest witness of minimal max-norm: each
-           follows a box without a solution, so its solutions lie on its
-           outer shell.  Every box is decided one way, on the form's
-           orthogonal blocks (IntersectionForm.block_rows): a first-hit sweep,
-           one incremental prefix walk that solves the last coordinate as
-           a 1-D quadratic, that may walk only as many prefixes as the
-           per-block value tables have points; cut short, the tables and
-           their suffix sumsets decide the box block by block.  On one
-           block the sweep is never cut short.  A definite form whose
-           target has the wrong sign, or is 0 with an odd residue, has no
-           solution in any box, and the search says so without a walk.
-           Exhausting the whole box without a hit is reported as Unknown
-           together with the bound, never as a nonexistence claim.
+  tier 2   rank-2 H, whose w2 is 0: a target not divisible by 8 has no
+           witness, and for 0 < |target/8| < _PRIME_TEST_EXACT_BELOW the
+           divisor enumeration of 2ab = target is complete, from the exact
+           prime factors of target/8.  Other targets list the box.  Only
+           enumerate_chern_classes runs it; decide_wu_existence never
+           does, because tier 1 settles H first.
+  tier 3   bounded box search (default bound 32), the lex-smallest witness
+           of minimal max-norm by search.find_minimal_witness; exhausting
+           the box without a hit is reported as Unknown together with the
+           bound, never as a nonexistence claim.
 """
 
 from __future__ import annotations
@@ -46,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 from . import search
@@ -313,40 +301,28 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending; n must be nonzero.
+    """Positive divisors of |n|, ascending, from its prime factors.
 
-    Below _PRIME_TEST_EXACT_BELOW they come from |n|'s prime factors.  Above
-    it nothing is guessed: trial division up to sqrt(|n|), exact everywhere.
+    Needs 0 < |n| < _PRIME_TEST_EXACT_BELOW, where _prime_factors is exact.
     """
-    n = abs(n)
-    if n < _PRIME_TEST_EXACT_BELOW:
-        divisors = {1}
-        for p in _prime_factors(n):
-            divisors |= {d * p for d in divisors}
-        return sorted(divisors)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    divisors = {1}
+    for p in _prime_factors(abs(n)):
+        divisors |= {d * p for d in divisors}
+    return sorted(divisors)
 
 
 def _hyperbolic_pair_witnesses(target: int) -> list[tuple[int, int]]:
-    """All even solutions of 2ab = target on a single hyperbolic plane.
+    """All even solutions of 2ab = target on a single hyperbolic plane, ascending.
 
-    Complete for target != 0: writing a = 2s, b = 2t turns the equation
-    into st = target/8, so solutions correspond to divisors of target/8.
+    A target not divisible by 8 has none.  Otherwise a = 2s, b = 2t turns
+    the equation into st = target/8, so the solutions are (2s, 2t) for the
+    signed divisors s of target/8, within _divisors' range.
     """
     if target % 8 != 0:
         return []
     t8 = target // 8
-    out = set()
-    for d in _divisors(t8):
-        for s in (d, -d):
-            out.add((2 * s, 2 * (t8 // s)))
-    return sorted(out)
+    divisors = _divisors(t8)
+    return [(2 * s, 2 * (t8 // s)) for s in [-d for d in reversed(divisors)] + divisors]
 
 
 def decide_wu_existence(
@@ -414,16 +390,21 @@ def enumerate_chern_classes(
     """All Chern candidates with max coefficient up to the bound.
 
     Output is duplicate-free, lexicographically sorted and closed under
-    negation.  For a rank-2 hyperbolic form with nonzero target the divisor
-    enumeration is complete and the bound is ignored.  With a layout the
-    listing is each candidate's text in it (see search.Layout).
+    negation.  On a rank-2 hyperbolic form the divisor enumeration is
+    complete and the bound is ignored, for a target not divisible by 8 or
+    with 0 < |target/8| < _PRIME_TEST_EXACT_BELOW; every other form and
+    target lists the box.  With a layout the listing
+    is each candidate's text in it (see search.Layout).
     """
     residue = resolve_w2(m)
     form = m.form
     target = wu_target(m.chi, m.tau)
 
-    # every divisor pair and sweep hit has square target by construction
-    if form.hyperbolic_summands == 1 and residue == (0, 0) and target != 0:
+    # every divisor pair and sweep hit has square target by construction;
+    # on H the w2 rule makes the residue 0
+    if form.hyperbolic_summands == 1 and (
+        target % 8 or 0 < abs(target) < 8 * _PRIME_TEST_EXACT_BELOW
+    ):
         hits, complete, bound = _hyperbolic_pair_witnesses(target), True, None
         if layout is not None:
             hits = map(layout.item, hits)

@@ -97,14 +97,13 @@ def find_minimal_witness(
     A definite form answers at once when the target's sign settles it
     (_sign_settled): a target of the wrong sign has no solution in any box,
     and target 0 has only h = 0, a solution iff every residue is 0.  So
-    positive definite E8 with target -8 answers None without a sweep.  The
+    positive definite E8 with target -8 answers None without a sweep, and
+    the form of rank 0, which takes only 0, answers every target.  The
     residues are trusted: the obstruction layer's w2 rule checks them.  A
     negative bound would never end the deepening, so it is refused.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
-    if not form.rank:
-        return () if target == 0 else None
     settled = _sign_settled(form, residues, target)
     if settled is not None:
         return settled[0] if settled else None
@@ -134,14 +133,16 @@ def _sign_settled(
 
     A nondegenerate positive definite form takes no negative value and
     takes 0 only at h = 0, which every box holds and which has residues 0;
-    a negative definite form likewise with the signs reversed.  None, for
-    the search to decide, on a degenerate or indefinite form and on a
-    target of the form's own sign.
+    a negative definite form likewise with the signs reversed, and the
+    form of rank 0 takes only the value 0.  None, for the search to
+    decide, on a degenerate or indefinite form and on a target of a sign
+    the form takes.
     """
     determinant, negative = form._inertia
     if not determinant or 0 < negative < form.rank:
         return None
-    if (target < 0) if negative else (target > 0):
+    takes = negative if target < 0 else form.rank - negative  # eigenvalues of target's sign
+    if target and takes:
         return None
     if target or any(residues):
         return []

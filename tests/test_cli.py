@@ -664,6 +664,36 @@ class TestStallGuards:
         assert [tuple(w["coefficients"]) for w in doc["witnesses"]] == pairs
 
     @pytest.mark.parametrize(
+        "b1, completeness",
+        [
+            # target 8 - 4 * 10**25: |target/8| lies above the range where
+            # the prime factors are exact, so the box is listed
+            (10**25, "BOUNDED(32)"),
+            # odd b1: target 4 - 4 * 10**25 is not a multiple of 8, so no
+            # pair exists at any size and nothing is factored
+            (10**25 + 1, "COMPLETE"),
+        ],
+        ids=["above-the-factoring-range", "odd-b1"],
+    )
+    def test_hyperbolic_plane_with_a_b1_past_the_factoring_range(
+        self, capsys, tmp_path, monkeypatch, time_limit, b1, completeness
+    ):
+        time_limit(10)
+        monkeypatch.delenv("FOURFOLD_BOUND", raising=False)
+        path = tmp_path / "h.man"
+        path.write_text(
+            f"name = H\nchi = {4 - 2 * b1}\ntau = 0\nform = H\nb1 = {b1}\nh1 = Z^{b1}\n",
+            encoding="ascii",
+        )
+        code, out, err = run(capsys, "enumerate", "--file", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-3:] == [
+            f"target square      {8 - 4 * b1}",
+            f"completeness       {completeness}",
+            "witnesses          0",
+        ]
+
+    @pytest.mark.parametrize(
         "command, verdict",
         [("analyze", ["spin               Spin", "almost complex     Exists"]),
          ("validate", ["status             ok"])],

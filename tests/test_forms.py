@@ -130,6 +130,18 @@ class TestEvaluation:
     def test_two_hyperbolic_square(self):
         assert build_form("2H").evaluate([2, 2, 2, -4]) == -8
 
+    def test_pairing_on_a_block_sum(self):
+        # x is zero on whole blocks and inside E8; y is dense, so each
+        # nonzero coordinate of x must meet y through its own block's row
+        rows = block_sum(H_ROWS, [[1, 1], [1, 0]], E8_ROWS, [[-3]], H_ROWS)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert len(q.block_rows) == 5
+        x = [0, 0, 0, 5, 0, -2, 0, 0, 0, 0, 7, 0, 4, 0, 0]
+        y = list(range(-7, 8))
+        expected = sum(x[i] * rows[i][j] * y[j] for i in range(15) for j in range(15))
+        # 5 * y[2] - 2 * (-y[4] + 2 * y[5] - y[6]) + 7 * (-y[9] + 2 * y[10]) + 4 * -3 * y[12]
+        assert q.pair(x, y) == expected == -25 + 0 + 28 - 60
+
     def test_dimension_mismatch(self):
         with pytest.raises(FormError):
             build_form("H").evaluate([1, 2, 3])

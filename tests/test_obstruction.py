@@ -26,7 +26,7 @@ from fourfold.obstruction import (
     validate_invariants,
     wu_target,
 )
-from fourfold.obstruction import _divisors, _hyperbolic_pair_witnesses
+from fourfold.obstruction import _PRIME_TEST_EXACT_BELOW, _divisors, _hyperbolic_pair_witnesses
 from oracles import E8_ROWS, H_ROWS, block_sum, box_solutions, box_solvable, quadratic_value
 
 
@@ -346,6 +346,20 @@ class TestEnumeration:
 
     def test_divisor_route_rejects_non_multiples_of_eight(self):
         assert _hyperbolic_pair_witnesses(12) == []
+
+    def test_divisor_route_ends_at_the_exact_factoring_range(self, time_limit):
+        # H with even b1 has target 8 - 4 * b1, so target/8 = 1 - b1/2
+        time_limit(10)
+        below = _record(chi=4 - 4 * _PRIME_TEST_EXACT_BELOW, b1=2 * _PRIME_TEST_EXACT_BELOW)
+        enum = enumerate_chern_classes(below, bound=2)
+        t = 1 - _PRIME_TEST_EXACT_BELOW
+        assert (enum.complete, enum.bound) == (True, None)
+        assert len(enum.coefficients) == 2 * len(_divisors(t))
+        assert list(enum.coefficients) == sorted(set(enum.coefficients))
+        assert all(quadratic_value(H_ROWS, c) == 8 * t for c in enum.coefficients)
+        at = _record(chi=-4 * _PRIME_TEST_EXACT_BELOW, b1=2 * _PRIME_TEST_EXACT_BELOW + 2)
+        enum = enumerate_chern_classes(at, bound=2)
+        assert (enum.coefficients, enum.complete, enum.bound) == ((), False, 2)
 
     @pytest.mark.parametrize(
         "record, bound",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fourfold import _pure
 from fourfold.forms import IntegerMatrix, IntersectionForm, build_form
 from fourfold.obstruction import VerdictStatus, decide_wu_existence
-from fourfold.search import enumerate_witnesses, find_minimal_witness
+from fourfold.search import Layout, enumerate_witnesses, find_minimal_witness
 from oracles import (
     E8_ROWS,
     H_ROWS,
@@ -163,10 +163,19 @@ class TestSearchStrategy:
         assert find_minimal_witness(q, residues, 32, target) == witness
         assert 0 < walked[0] <= most
 
-    def test_rank_zero_form(self):
+    def test_rank_zero_form(self, monkeypatch):
         q = IntersectionForm(IntegerMatrix([]))
         assert find_minimal_witness(q, (), 5, 0) == ()
         assert find_minimal_witness(q, (), 5, 1) is None
+        # the form takes only 0, so the sign rule settles every target
+        # without a walk
+        monkeypatch.setattr(_pure, "prefixes", None)
+        monkeypatch.setattr(_pure, "all_hits", None)
+        layout = Layout("[", ", ", "]")
+        for target, listed in ((-1, []), (0, [()]), (1, [])):
+            assert enumerate_witnesses(q, (), 5, target) == listed
+            assert enumerate_witnesses(q, (), 5, target, layout) == ["[]"] * len(listed)
+            assert find_minimal_witness(q, (), 5, target) == (listed[0] if listed else None)
 
     def test_agrees_with_sumset_oracle(self):
         rng = random.Random(2024)

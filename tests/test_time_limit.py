@@ -12,18 +12,23 @@ pytest_plugins = ["pytester"]
 def test_an_overrun_fails_one_test(pytester):
     pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text())
     pytester.makeini("[pytest]\nfilterwarnings = error\n")
-    # trial division of a 28-digit semiprime, above the Miller-Rabin range,
-    # runs for hours; the alarm once fired there in a frame whose line number
+    # the whole-box sweep of positive definite E8 at bound 32 walks 33**7
+    # prefixes and finds no vector of square -8, so it runs for hours.  An
+    # alarm in a long loop like it once fired in a frame whose line number
     # read None, and formatting that traceback stopped the whole session
     pytester.makepyfile(
         """
-        from fourfold.obstruction import _PRIME_TEST_EXACT_BELOW, _divisors
+        from fourfold import _pure
+
+        EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
+        E8 = [
+            2 if i == j else -((i, j) in EDGES or (j, i) in EDGES)
+            for i in range(8) for j in range(8)
+        ]
 
         def test_overruns(time_limit):
             time_limit(1)
-            n = (10**13 + 37) * (10**14 + 31)
-            assert n > _PRIME_TEST_EXACT_BELOW
-            _divisors(n)
+            _pure.all_hits(E8, [0] * 8, 8, 32, -8)
 
         def test_runs_after():
             pass
