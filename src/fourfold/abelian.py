@@ -1,18 +1,20 @@
 """Finitely generated abelian groups and the abelianization of presentations.
 
 A Presentation stores each relation row sparse, as its nonzero (generator,
-exponent) pairs, and the file reader hands over the pairs forms.read_sparse_ints
-reads, so a presentation costs its nonzero entries from text to group.
-Presentation.from_words reads relator words straight to those pairs, with one
-name index per presentation.  abelianize reads the group the rows present by
-one Smith elimination over them, and torsion and free rank off the pivots it
+exponent) pairs.  Presentation.from_words is the one reader of relator words,
+for the families' builders and for a manifold file's word lines alike: it
+keeps the generator names and each word as its syllables, and derives the
+rows from them once, so a presentation costs the words' length from text to
+group.  A file's rel lines hand over the pairs forms.read_sparse_ints reads,
+and carry no words.  abelianize reads the group the rows present by one
+Smith elimination over them, and torsion and free rank off the pivots it
 drops; parse_abelian_group reads a group's text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -79,8 +81,12 @@ def parse_abelian_group(text: str) -> AbelianGroup:
 
 
 Row = tuple[tuple[int, int], ...]
+Word = tuple[tuple[int, int], ...]  # (generator index, exponent) syllables, as written
 
+_NAMES_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*")
 _WORD_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
+# str.split() also splits at these, which are not ASCII whitespace
+_NOT_SPACE_RE = re.compile("[\x1c-\x1f]")
 
 
 def _length_error(generators: int, relation: tuple[int, ...]) -> PresentationError:
@@ -89,17 +95,26 @@ def _length_error(generators: int, relation: tuple[int, ...]) -> PresentationErr
 
 @dataclass(frozen=True, init=False)
 class Presentation:
-    """A group presentation recorded as abelianized relation vectors.
+    """A group presentation, its relations recorded as exponent-sum rows.
 
-    Each relation is the exponent-sum vector of a relator word over the
-    ordered generators, which is all that abelianization can see.  A
-    relation is stored sparse, as its nonzero (generator, exponent) pairs in
+    Each relation's row is the exponent-sum vector of a relator word over
+    the ordered generators, which is all that abelianization can see.  A
+    row is stored sparse, as its nonzero (generator, exponent) pairs in
     generator order, so rows, equality and hash cost the nonzero entries;
     relations is the dense view, built when it is read.
+
+    A presentation read by from_words also keeps its generator names and
+    each relator word as its (generator index, exponent) syllables, as
+    written; the rows are derived from the syllables once.  One built from
+    rows (the constructor, or a file's rel lines) has no names or words.
+    Equality and hash read only (generators, rows), so a presentation with
+    words equals the one on the same rows without them.
     """
 
     generators: int
     rows: tuple[Row, ...]
+    names: tuple[str, ...] | None = field(default=None, compare=False)
+    words: tuple[Word, ...] | None = field(default=None, compare=False)
 
     def __init__(self, generators: int, relations: Iterable[Sequence[int]] = ()):
         if generators < 0:
@@ -137,36 +152,88 @@ class Presentation:
     def from_words(cls, names: Sequence[str], words: Iterable[str]) -> "Presentation":
         """The presentation of relator words like "a1^-1 b1^-1 a1 b1" on names.
 
-        Tokens are whitespace separated; each is a generator name with an
-        optional ^exponent.  One name index serves every word, and each word
-        is read straight to its nonzero exponent sums.
+        Names are distinct, each a letter or "_" and then letters, digits
+        and "_".  A word's tokens are separated by ASCII whitespace; each is
+        a generator name with an optional ^exponent (read_int's rule).  One
+        name index serves every word.  When the words hold no byte that
+        str.split() splits at and ASCII whitespace does not, each token
+        costs a split, a partition, a lookup and at most one int(); any
+        token that fails there sends the words to _word_error, which reads
+        them token by token and says what is wrong.
         """
+        names = tuple(names)
         n = len(names)
         index = {name: i for i, name in enumerate(names)}
         if len(index) != n:
             raise PresentationError("generator names must be distinct")
+        joined = ",".join(names)
+        if n and not (_NAMES_RE.fullmatch(joined) and joined.count(",") == n - 1):
+            bad = next(x for x in names if not _NAMES_RE.fullmatch(x) or "," in x)
+            raise PresentationError(f"cannot parse generator name {bad!r}")
+        words = tuple(words)
+        text = "\n".join(words)
+        if not text.isascii() or _NOT_SPACE_RE.search(text):
+            raise _word_error(index, words)
+        syllables = []
         rows = []
-        for text in words:
-            sums: dict[int, int] = {}
-            for token in re.findall(r"\S+", text, re.ASCII):
-                match = _WORD_TOKEN_RE.match(token)
-                if not match:
-                    raise PresentationError(f"cannot parse word token {token!r}")
-                name, exponent = match.groups()
-                if name not in index:
-                    raise PresentationError(f"unknown generator {name!r}")
-                step = 1
-                if exponent is not None:
-                    step = read_int(exponent, "word exponent", PresentationError)
-                i = index[name]
-                sums[i] = sums.get(i, 0) + step
-            rows.append((n, tuple(sorted((i, x) for i, x in sums.items() if x))))
-        return cls._read(n, rows)
+        try:
+            for word in words:
+                word_syllables = []
+                sums: dict[int, int] = {}
+                for token in word.split():
+                    name, caret, exponent = token.partition("^")
+                    i = index[name]
+                    if caret:
+                        if "_" in exponent:  # int() takes "1_0"
+                            raise ValueError
+                        x = int(exponent)
+                    else:
+                        x = 1
+                    word_syllables.append((i, x))
+                    sums[i] = sums.get(i, 0) + x
+                syllables.append(tuple(word_syllables))
+                if 0 in sums.values():
+                    sums = {i: x for i, x in sums.items() if x}
+                rows.append(tuple(sorted(sums.items())))
+        except (KeyError, ValueError):
+            raise _word_error(index, words) from None
+        p = cls.__new__(cls)
+        object.__setattr__(p, "generators", n)
+        object.__setattr__(p, "rows", tuple(rows))
+        object.__setattr__(p, "names", names)
+        object.__setattr__(p, "words", tuple(syllables))
+        return p
 
     @property
     def relations(self) -> tuple[tuple[int, ...], ...]:
         """The relations as dense exponent-sum vectors."""
         return tuple(_dense(self.generators, row) for row in self.rows)
+
+    def word_texts(self) -> list[str]:
+        """The relator words as from_words reads them: name, or name^exponent, per syllable."""
+        names = self.names
+        return [
+            " ".join(names[i] if x == 1 else f"{names[i]}^{x}" for i, x in word)
+            for word in self.words
+        ]
+
+
+def _word_error(index: dict[str, int], words: Sequence[str]) -> PresentationError:
+    """The error of the first token of words that breaks the word grammar."""
+    for text in words:
+        for token in re.findall(r"\S+", text, re.ASCII):
+            match = _WORD_TOKEN_RE.match(token)
+            if not match:
+                return PresentationError(f"cannot parse word token {token!r}")
+            name, exponent = match.groups()
+            if name not in index:
+                return PresentationError(f"unknown generator {name!r}")
+            if exponent is not None:
+                try:
+                    read_int(exponent, "word exponent", PresentationError)
+                except PresentationError as exc:  # too long for int()
+                    return exc
+    raise AssertionError("the words hold no bad token")
 
 
 def _smallest(rows: dict[int, dict[int, int]]) -> tuple[int, int]:

@@ -67,16 +67,26 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("name", "chi", "tau", "form", "b1", "h1")
 
+# a presentation is written one way or the other: gens and rel lines, or
+# names and word lines
+_PRESENTATION_STYLE = {"gens": "rel", "rel": "rel", "names": "word", "word": "word"}
+
 
 def parse_manifold_file(text: str) -> ManifoldInvariants:
     """Parse the line-oriented manifold format.
 
     Keys: name, chi, tau, form (form grammar), b1, h1 ("Z^r" plus optional
     "+ Z/t" summands), w2 (comma-separated bits, or 0 for the zero vector),
-    gens and repeatable rel lines for a presentation.  '#' starts a comment.
+    and an optional presentation: either gens and repeatable rel lines
+    (exponent-sum rows), or names (comma-separated generator names) and
+    repeatable word lines (relator words, read by Presentation.from_words).
+    A record that mixes the two is an error naming the line.  '#' starts a
+    comment.
     """
     values: dict[str, str] = {}
     relations: list[tuple[int, Row]] = []  # (length, nonzero pairs) of each rel line
+    words: list[str] = []
+    first = None  # (key, line number) of the first presentation line
     # lines end at "\n" (a "\r" before it is stripped with the whitespace);
     # str.splitlines() would also end them at "\x0b", "\x0c" and "\x1c"-"\x1e"
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -88,10 +98,23 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         key, _, value = line.partition("=")
         key = key.strip(_SPACE)
         value = value.strip(_SPACE)
+        style = _PRESENTATION_STYLE.get(key)
+        if style is not None:
+            if first is None:
+                first = key, lineno
+            elif style != _PRESENTATION_STYLE[first[0]]:
+                raise ManifoldFileError(
+                    f"line {lineno}: a {key} line cannot join the {first[0]} line "
+                    f"on line {first[1]}; a presentation is gens and rel lines "
+                    "or names and word lines"
+                )
         if key == "rel":
             # an empty value is the one relation over no generators
             field = f"line {lineno}: relation entry"
             relations.append(read_sparse_ints(value, field, ManifoldFileError) if value else (0, ()))
+            continue
+        if key == "word":
+            words.append(value)  # an empty value is the trivial relator
             continue
         if key in values:
             raise ManifoldFileError(f"line {lineno}: duplicate key {key!r}")
@@ -100,7 +123,7 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ManifoldFileError(f"missing required keys: {', '.join(missing)}")
-    unknown = set(values) - set(_REQUIRED_KEYS) - {"w2", "gens"}
+    unknown = set(values) - set(_REQUIRED_KEYS) - {"w2", "gens", "names"}
     if unknown:
         raise ManifoldFileError(f"unknown keys: {', '.join(sorted(unknown))}")
 
@@ -124,6 +147,16 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
             presentation = Presentation._read(as_int("gens"), relations)
         except PresentationError as exc:
             raise ManifoldFileError(str(exc)) from None
+    elif "names" in values or words:
+        if "names" not in values:
+            raise ManifoldFileError("word lines need a names line")
+        names = values["names"]
+        try:
+            presentation = Presentation.from_words(
+                [name.strip(_SPACE) for name in names.split(",")] if names else (), words
+            )
+        except PresentationError as exc:
+            raise ManifoldFileError(str(exc)) from None
 
     return ManifoldInvariants(
         name=values["name"],
@@ -143,7 +176,12 @@ def _w2_text(w2: tuple[int, ...]) -> str:
 
 
 def format_manifold_file(m: ManifoldInvariants) -> str:
-    """Serialize a record to the manifold file format (parse round-trips)."""
+    """Serialize a record to the manifold file format (parse round-trips).
+
+    A presentation with words is written as its names and word lines, so
+    the text is linear in the words' length; one without is written as
+    gens and dense rel lines.
+    """
     lines = [
         "# fourfold manifold record",
         f"name = {m.name}",
@@ -155,10 +193,14 @@ def format_manifold_file(m: ManifoldInvariants) -> str:
     ]
     if m.w2 is not None:
         lines.append(f"w2 = {_w2_text(m.w2)}")
-    if m.presentation is not None:
-        gens = m.presentation.generators
+    p = m.presentation
+    if p is not None and p.words is not None:
+        lines.append("names = " + ",".join(p.names))
+        lines.extend("word = " + word for word in p.word_texts())
+    elif p is not None:
+        gens = p.generators
         lines.append(f"gens = {gens}")
-        for row in m.presentation.rows:  # written from the nonzero entries
+        for row in p.rows:  # written from the nonzero entries
             cells = ["0"] * gens
             for j, x in row:
                 cells[j] = str(x)

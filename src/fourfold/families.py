@@ -12,8 +12,9 @@ Parameters g and n are at least 1.  That table is data, _FAMILIES: one row
 per family with its parameter names, its (chi, b1, k of Q = kH) formulas
 and the builder of its relator words, which family_invariants reads by one
 rule.  M1, M2 and M4 carry fundamental-group presentations, read from their
-words by Presentation.from_words; M3 ships without one, since its group has
-no usable finite description in this encoding.
+words by Presentation.from_words, which keeps the words, so a record's file
+holds them; M3 ships without one, since its group has no usable finite
+description in this encoding.
 """
 
 from __future__ import annotations

@@ -496,10 +496,15 @@ def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
     return tuple(got) if isinstance(got, list) else _dense(*got)
 
 
+# whitespace next to a bracket or a comma; a replacement with no group
+# reference leaves re.sub no template to expand per match
+_MATRIX_SPACE_RE = re.compile(r"\s+(?=[][,])|(?<=[][,])\s+", re.ASCII)
+
+
 def _parse_matrix_literal(text: str) -> list[tuple[int, ...]]:
     # whitespace goes only next to brackets and commas, so "1 2" stays one
     # piece and is rejected as an integer
-    squeezed = re.sub(r"\s*([][,])\s*", r"\1", text, flags=re.ASCII)
+    squeezed = _MATRIX_SPACE_RE.sub("", text)
     if not (squeezed.startswith("[[") and squeezed.endswith("]]")):
         raise FormParseError(f"malformed matrix literal: {text!r}")
     body = squeezed[2:-2]
@@ -542,10 +547,12 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _MATRIX_RE.match(text)
     if match:
-        rows = _parse_matrix_literal(match.group(1))
-        matrix = IntegerMatrix(rows)
-        if matrix.rows != matrix.cols:
+        rows = _parse_matrix_literal(match.group(1))  # read_ints' rows hold ints
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise FormError("matrix rows must all have the same length")
+        if len(rows) != width:
             raise FormParseError("matrix literal must be square")
-        return IntersectionForm(matrix)
+        return IntersectionForm(IntegerMatrix._trusted(tuple(rows)))
 
     raise FormParseError(f"unrecognized form descriptor: {spec!r}")

@@ -103,6 +103,18 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     )
 
 
+def trial_division_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, ascending, by dividing by 2, 3, 4, ..."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.append(d)
+            n //= d
+        d += 1
+    return primes + ([n] if n > 1 else [])
+
+
 def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 

@@ -394,6 +394,38 @@ class TestWords:
         with pytest.raises(PresentationError):
             word_vector(("a", "a"), "a")
 
+    def test_words_are_kept_as_written(self):
+        p = Presentation.from_words(("a", "b"), ["a a^-1 b^0", "", "b^+2\ta"])
+        assert p.names == ("a", "b")
+        assert p.words == (((0, 1), (0, -1), (1, 0)), (), ((1, 2), (0, 1)))
+        assert p.word_texts() == ["a a^-1 b^0", "", "b^2 a"]
+        assert p.rows == ((), (), ((0, 1), (1, 2)))
+        assert Presentation(2, ((2, 0),)).words is None
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            # str.split() splits at \x1c-\x1f and Unicode spaces; the grammar does not
+            ("a\x1fb", "cannot parse word token 'a\\x1fb'"),
+            ("a\x85b", "cannot parse word token 'a\\x85b'"),
+            ("a^1_0", "cannot parse word token 'a^1_0'"),  # int() takes "1_0"
+            ("a^+-1", "cannot parse word token 'a^+-1'"),
+            ("b a^", "cannot parse word token 'a^'"),
+            ("z a^x", "unknown generator 'z'"),  # the first bad token is reported
+            ("a^x z", "cannot parse word token 'a^x'"),
+        ],
+    )
+    def test_token_messages(self, word, message):
+        with pytest.raises(PresentationError) as exc:
+            Presentation.from_words(("a", "b"), ["a b", word])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad", ["1a", "a b", "a,b", "", "\u00e9"])
+    def test_names_follow_the_token_grammar(self, bad):
+        with pytest.raises(PresentationError) as exc:
+            Presentation.from_words(("a", bad), [])
+        assert str(exc.value) == f"cannot parse generator name {bad!r}"
+
 
 class TestPresentationText:
     def test_presentation_validates_relation_length(self):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import string
 import subprocess
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import fourfold
 from fourfold import obstruction, search
-from fourfold.abelian import Presentation, PresentationError
+from fourfold.abelian import Presentation, PresentationError, abelianize
 from fourfold.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -35,7 +36,7 @@ from fourfold.cli import (
 )
 from fourfold.abelian import AbelianGroup
 from fourfold.classification import exclude_complex, exclude_symplectic
-from fourfold.families import FamilyId, family_invariants
+from fourfold.families import _FAMILIES, FamilyId, family_invariants
 from fourfold.forms import IntegerMatrix, IntersectionForm, read_int, read_ints, read_sparse_ints
 from fourfold.obstruction import (
     ChernWitness,
@@ -57,6 +58,47 @@ b1 = 4
 h1 = Z^4
 w2 = 0
 """
+
+_LONG = "1" * 5001  # more digits than int() reads by default (4300)
+
+# presentation lines appended to GOOD_FILE (whose last line is line 8) that
+# break the names/word grammar, and the message each gives
+_WORD_ERRORS = [
+    ("names = a,b\nword = a z\n", "unknown generator 'z'"),
+    ("names = a\nword = a^\n", "cannot parse word token 'a^'"),
+    ("names = a\nword = a^^1\n", "cannot parse word token 'a^^1'"),
+    ("names = a\nword = 1a\n", "cannot parse word token '1a'"),
+    ("names = a,a\nword = a\n", "generator names must be distinct"),
+    ("names = a,1b\n", "cannot parse generator name '1b'"),
+    ("word = a\n", "word lines need a names line"),
+    (
+        "gens = 1\nnames = a\n",
+        "line 10: a names line cannot join the gens line on line 9; "
+        "a presentation is gens and rel lines or names and word lines",
+    ),
+    (
+        "names = a\nrel = 1\n",
+        "line 10: a rel line cannot join the names line on line 9; "
+        "a presentation is gens and rel lines or names and word lines",
+    ),
+    ("names = a,b\nword = a\x1cb\n", "cannot parse word token 'a\\x1cb'"),
+    (
+        f"names = a\nword = a^{_LONG}\n",
+        f"word exponent is too long: 5001 digits, at most {sys.get_int_max_str_digits()} are read",
+    ),
+]
+_WORD_ERROR_IDS = [
+    "unknown-generator", "empty-exponent", "double-caret", "digit-first", "duplicate-names",
+    "bad-name", "word-without-names", "names-with-gens", "names-with-rel", "x1c-in-word",
+    "long-exponent",
+]
+
+# the family specs of the benchmark corpus
+_CORPUS_FAMILY_SPECS = (
+    [f"M1 g={g}" for g in (1, 2, 3, 4, 8, 50)]
+    + [f"M{kind} g={g} n={n}" for kind in (2, 3) for g in (1, 3) for n in (1, 3)]
+    + [f"M4 n={n}" for n in (1, 2, 3, 5, 10, 20, 40, 80)]
+)
 
 
 def _diag_file(entries, b1=0, bits=None) -> str:
@@ -145,12 +187,78 @@ class TestManifoldFiles:
 
     @pytest.mark.parametrize("spec", ["M1 g=2", "M2 g=1 n=3", "M4 n=3", "M4 n=80"])
     def test_relations_round_trip(self, spec):
-        m = family_invariants(FamilyId.parse(spec))
+        # a family is written as its names and its builder's words; the same
+        # rows without words are written as dense rel lines
+        fid = FamilyId.parse(spec)
+        m = family_invariants(fid)
         p = m.presentation
+        family = _FAMILIES[fid.kind]
+        names, words = family.words(*(getattr(fid, key) for key in family.params))
         text = format_manifold_file(m)
+        lines = text.splitlines()
+        assert [line for line in lines if line.startswith(("names = ", "word = "))] == [
+            "names = " + ",".join(names)
+        ] + ["word = " + word for word in words]
+        assert not any(line.startswith(("gens = ", "rel = ")) for line in lines)
+        parsed = parse_manifold_file(text).presentation
+        assert (parsed.relations, parsed.names, parsed.words) == (p.relations, p.names, p.words)
+
+        twin = dataclasses.replace(m, presentation=Presentation(p.generators, p.relations))
+        text = format_manifold_file(twin)
         rel_lines = [line for line in text.splitlines() if line.startswith("rel = ")]
         assert rel_lines == ["rel = " + ",".join(map(str, rel)) for rel in p.relations]
-        assert parse_manifold_file(text).presentation.relations == p.relations
+        parsed = parse_manifold_file(text).presentation
+        assert parsed.relations == p.relations
+        assert parsed.names is parsed.words is None
+
+    @pytest.mark.parametrize("spec", _CORPUS_FAMILY_SPECS)
+    def test_word_records_round_trip(self, spec):
+        built = family_invariants(FamilyId.parse(spec))
+        text = format_manifold_file(built)
+        parsed = parse_manifold_file(text)
+        assert parsed == built
+        p, q = parsed.presentation, built.presentation
+        if q is None:  # M3
+            assert p is None
+        else:
+            assert (p.names, p.words) == (q.names, q.words)
+            assert q.words is not None and len(q.words) == len(q.rows)
+        assert format_manifold_file(parsed) == text
+
+    def test_word_record_equals_its_rel_twin(self):
+        # seeded random words, empty ones and exponents that cancel among
+        # them, against exponent sums added up here
+        rng = random.Random(26)
+        for trial in range(60):
+            n = rng.randint(0, 6)
+            names = rng.sample(["a", "b1", "_c", "d_2", "E", "f9", "g", "h_"], n)
+            words, sums = [], []
+            for _ in range(rng.randint(0, 5)):
+                tokens, vector = [], [0] * n
+                for _ in range(rng.randint(0, 6) if n else 0):
+                    i = rng.randrange(n)
+                    x = rng.choice([1, 1, -1, 2, -3, 0, 12])
+                    tokens.append(names[i] if x == 1 and rng.random() < 0.5 else f"{names[i]}^{x:+d}")
+                    vector[i] += x
+                    if rng.random() < 0.2:  # the syllable and its inverse
+                        tokens.append(f"{names[i]}^{-x}")
+                        vector[i] -= x
+                words.append(rng.choice([" ", "\t", "  "]).join(tokens))
+                sums.append(tuple(vector))
+            p = Presentation.from_words(names, words)
+            twin = Presentation(n, sums)
+            assert p.relations == tuple(sums)
+            assert p == twin and hash(p) == hash(twin)
+            assert abelianize(p) == abelianize(twin)
+            record = dataclasses.replace(parse_manifold_file(GOOD_FILE), presentation=p)
+            twin_record = dataclasses.replace(record, presentation=twin)
+            text, twin_text = format_manifold_file(record), format_manifold_file(twin_record)
+            assert "\nword = " in text or not words
+            assert "\nrel = " in twin_text or not words
+            parsed, parsed_twin = parse_manifold_file(text), parse_manifold_file(twin_text)
+            assert parsed == parsed_twin == record == twin_record
+            assert parsed.presentation.words == p.words
+            assert abelianize(parsed.presentation) == abelianize(parsed_twin.presentation)
 
     def test_relation_length_message(self, capsys, tmp_path):
         text = GOOD_FILE + "gens = 2\nrel = 1\n"
@@ -201,7 +309,8 @@ class TestManifoldFiles:
             lambda t: t.replace("w2 = 0", "w2 = "),             # empty w2
             lambda t: t.replace("chi = -4", "chi = minus4"),    # non-integer
             lambda t: t + "just words\n",                       # no equals sign
-        ],
+        ]
+        + [lambda t, lines=lines: t + lines for lines, _ in _WORD_ERRORS],
     )
     def test_rejects(self, mangle):
         with pytest.raises(ManifoldFileError):
@@ -777,7 +886,9 @@ class TestFamilyCommand:
         assert out.startswith("# fourfold manifold record\n")
         assert "name = M1(g=1)" in out
         assert "form = H" in out
-        assert "rel = 0,0,0,1,0,3" in out
+        assert "\nnames = a1,b1,c,d,e,f\n" in out
+        assert "\nword = d f^3\n" in out
+        assert "rel = " not in out
         parsed = parse_manifold_file(out)
         assert parsed == family_invariants(FamilyId("M1", g=1))
 
@@ -947,8 +1058,6 @@ class TestExitCodesAndErrors:
             EXIT_PARSE, "", "error: matrix entry must be an integer, got '1 2'\n"
         )
 
-
-_LONG = "1" * 5001  # more digits than int() reads by default (4300)
 
 
 class TestIntegerDigitLimit:
@@ -1151,6 +1260,13 @@ class TestNoTraceback:
         if command != "validate":
             argv += ["--bound", "2"]  # a record that happens to parse stays quick to search
         assert _quiet_main(argv, None) in (EXIT_OK, EXIT_PARSE, EXIT_INVALID)
+
+    @pytest.mark.parametrize("lines, message", _WORD_ERRORS, ids=_WORD_ERROR_IDS)
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "validate"])
+    def test_word_format_errors(self, capsys, tmp_path, command, lines, message):
+        path = tmp_path / "words.man"
+        path.write_text(GOOD_FILE + lines, encoding="ascii")
+        assert run(capsys, command, "--file", str(path)) == (EXIT_PARSE, "", f"error: {message}\n")
 
     @given(
         command=st.sampled_from(["analyze", "enumerate"]),

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,9 @@ from fourfold.forms import (
     FormParseError,
     IntegerMatrix,
     IntersectionForm,
+    _parse_matrix_literal,
     build_form,
+    read_ints,
 )
 from oracles import (
     E8_ROWS,
@@ -111,6 +115,83 @@ class TestGrammar:
     def test_rejects_bad_matrices(self, bad):
         with pytest.raises(FormError):
             build_form(bad)
+
+    def test_matrix_literal_agrees_with_the_group_template_squeeze(self):
+        # the literal reader against the squeeze with a group template and
+        # IntegerMatrix's entry check, on seeded literals with ASCII
+        # whitespace (and a few other bytes) around and inside the tokens
+        def oracle(literal):
+            squeezed = re.sub(r"\s*([][,])\s*", r"\1", literal, flags=re.ASCII)
+            if not (squeezed.startswith("[[") and squeezed.endswith("]]")):
+                raise FormParseError(f"malformed matrix literal: {literal!r}")
+            body = squeezed[2:-2]
+            if "[" in body.replace("],[", "") or "]" in body.replace("],[", ""):
+                raise FormParseError(f"malformed matrix literal: {literal!r}")
+            rows = []
+            for chunk in body.split("],["):
+                if not chunk:
+                    raise FormParseError("matrix rows must be nonempty")
+                rows.append(read_ints(chunk, "matrix entry", FormParseError))
+            matrix = IntegerMatrix(rows)
+            if matrix.rows != matrix.cols:
+                raise FormParseError("matrix literal must be square")
+            return rows, IntersectionForm(matrix)
+
+        def outcome(read, literal):
+            try:
+                return read(literal)
+            except FormError as exc:
+                return type(exc), str(exc)
+
+        def reader(literal):
+            return _parse_matrix_literal(literal), build_form("matrix " + literal)
+
+        rng = random.Random(26)
+        spaces = " \t\n\r\x0b\x0c"
+        extra = ["\x1c", "\u00a0", "x", "[", "]", ",", "", "+", "-"]
+        kinds = Counter()
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+            if rng.random() < 0.2:  # ragged or not square
+                rows[rng.randrange(n)].append(rng.randint(-9, 9))
+            if rng.random() < 0.1:
+                rows.append([1] * len(rows[0]))
+            tokens = ["["]
+            for i, row in enumerate(rows):
+                tokens += [",", "["] if i else ["["]
+                for j, x in enumerate(row):
+                    entry = f"{x:+d}" if rng.random() < 0.2 else str(x)
+                    if rng.random() < 0.05:  # whitespace inside the entry
+                        at = rng.randint(0, len(entry))
+                        entry = entry[:at] + rng.choice(spaces) + entry[at:]
+                    tokens += ([","] if j else []) + [entry]
+                tokens.append("]")
+            tokens.append("]")
+            pieces = []
+            for token in tokens:
+                if rng.random() < 0.4:
+                    pieces.append("".join(rng.choices(spaces, k=rng.randint(1, 3))))
+                pieces.append(token)
+            if rng.random() < 0.15:  # a byte out of place, or one taken away
+                at = rng.randrange(len(pieces))
+                pieces[at] = rng.choice(extra)
+            if rng.random() < 0.2:  # build_form strips it; the literal reader sees it
+                pieces.append(rng.choice(spaces))
+            literal = "".join(pieces)
+            got, expected = outcome(reader, literal), outcome(oracle, literal)
+            if isinstance(expected, tuple) and isinstance(expected[0], type):
+                assert got == expected, literal
+                kinds[expected[1].split(",")[0].split(":")[0]] += 1
+            else:
+                assert got[0] == expected[0] and got[1] == expected[1], literal
+                kinds["read"] += 1
+        # good literals and each kind of error were drawn
+        assert kinds["read"] > 200
+        assert len(kinds) >= 6, kinds
 
     def test_descriptor_round_trip(self):
         for spec in ["H", "4H", "diag(1,-1)", "matrix [[2,1],[1,2]]"]:

@@ -26,8 +26,21 @@ from fourfold.obstruction import (
     validate_invariants,
     wu_target,
 )
-from fourfold.obstruction import _PRIME_TEST_EXACT_BELOW, _divisors, _hyperbolic_pair_witnesses
-from oracles import E8_ROWS, H_ROWS, block_sum, box_solutions, box_solvable, quadratic_value
+from fourfold.obstruction import (
+    _PRIME_TEST_EXACT_BELOW,
+    _divisors,
+    _hyperbolic_pair_witnesses,
+    _prime_factors,
+)
+from oracles import (
+    E8_ROWS,
+    H_ROWS,
+    block_sum,
+    box_solutions,
+    box_solvable,
+    quadratic_value,
+    trial_division_factors,
+)
 
 
 def _record(name="X", chi=4, tau=0, form="H", b1=0, h1=None, **kw):
@@ -430,6 +443,25 @@ class TestDivisors:
         assert all(p % d and q % d for d in range(2, math.isqrt(q) + 1))
         assert _divisors(p * q) == [1, p, q, p * q]
         assert _divisors(-2 * p * q) == [1, 2, p, q, 2 * p, 2 * q, p * q, 2 * p * q]
+
+
+    def test_prime_factors_match_trial_division(self, time_limit):
+        # seeded semiprimes, prime powers and products of small primes; the
+        # primes come from the oracle, so the rho's cycle test, its batches
+        # and its step back on a batch whose gcd is n all meet known answers
+        time_limit(20)
+        rng = random.Random(26)
+        primes = [p for p in range(43, 40_000) if trial_division_factors(p) == [p]]
+        small = [p for p in range(2, 200) if trial_division_factors(p) == [p]]
+        numbers = [1, 43 * 43, 43 * 47, 2**40, 3**25, 41**9]
+        for _ in range(40):
+            numbers.append(rng.choice(primes) * rng.choice(primes))
+            p = rng.choice(primes)
+            numbers.append(p ** rng.randint(2, 4))
+            numbers.append(math.prod(rng.choices(small, k=rng.randint(1, 12))))
+            numbers.append(p * rng.choice(primes) * math.prod(rng.choices(small, k=3)))
+        for n in numbers:
+            assert sorted(_prime_factors(n)) == trial_division_factors(n), n
 
 
 class TestValidation:
