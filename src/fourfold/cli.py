@@ -175,16 +175,31 @@ def _w2_text(w2: tuple[int, ...]) -> str:
     return ",".join(map(str, w2)) if any(w2) else "0"
 
 
+def _name_line(name: str) -> str:
+    """The name line, which parse_manifold_file reads back as name, or ManifoldFileError."""
+    if "#" in name:
+        problem = "holds '#', which starts a comment"
+    elif "\n" in name:
+        problem = "holds a line break, which ends the line"
+    elif name != name.strip(_SPACE):
+        problem = "has whitespace at an end, which the reader strips"
+    else:
+        return f"name = {name}"
+    raise ManifoldFileError(f"cannot write the name {name!r}: it {problem}")
+
+
 def format_manifold_file(m: ManifoldInvariants) -> str:
     """Serialize a record to the manifold file format (parse round-trips).
 
     A presentation with words is written as its names and word lines, so
     the text is linear in the words' length; one without is written as
-    gens and dense rel lines.
+    gens and dense rel lines.  A name that would read back as another
+    record (one holding '#' or a line break, or with whitespace at an end)
+    raises ManifoldFileError naming the problem.
     """
     lines = [
         "# fourfold manifold record",
-        f"name = {m.name}",
+        _name_line(m.name),
         f"chi = {m.chi}",
         f"tau = {m.tau}",
         f"form = {m.form.descriptor()}",

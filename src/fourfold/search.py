@@ -13,26 +13,33 @@ table, which maps each value the block takes to its lex-first vector of that
 value, and the suffix sumsets reach[b] hold the values the blocks after b
 reach together.
 
-Before either, a definite form answers at once when the target's sign
-settles it: a target of the wrong sign has no solution, and target 0 only
-h = 0.  The search has one box decider for every form.  It sweeps each box
-whole for its first hit but walks at most as many prefixes as the tables
-have points; a sweep cut short leaves the box to the tables, which pick its
-lex-first solution block by block.  On one block that budget covers the
-whole box, so the sweep decides it and no table is built.  The listing
-sweeps a form of one block whole, by one all_hits sweep that solves the
-last coordinate.  On two or more blocks it keeps, per block, only the
-values some live residual can use, those that leave a remainder the blocks
-after it still reach.  Equal blocks keep the same values, so a second walk
-per distinct block lists its vectors of those values.  A bottom-up join
-then builds, block by block from the last, the lex-ordered suffix lists of
-each live residual, and the first block's list for the target is the
-answer.
+Before either, two exact rules answer at once, with no walk (_settled).
+The coset rule: every candidate is h = w + 2x, w the residues, so
+
+    q(h) = q(w) + 4(B(w, x) + q(x)),
+    B(w, x) + q(x) = sum_i ((Qw)_i + Q_ii) x_i  (mod 2),
+
+and q(h) = q(w) mod 4, or mod 8 when w is characteristic ((Qw)_i = Q_ii
+mod 2 for every i); a target outside that coset has no solution in any
+box.  The sign rule: on a definite form a target of the wrong sign has no
+solution, and target 0 only h = 0.  The search has one box decider for
+every form.  It sweeps each box whole for its first hit but walks at most
+as many prefixes as the tables have points; a sweep cut short leaves the
+box to the tables, which pick its lex-first solution block by block.  On
+one block that budget covers the whole box, so the sweep decides it and no
+table is built.  The listing sweeps a form of one block whole, by one
+all_hits sweep that solves the last coordinate.  On two or more blocks it
+keeps, per block, only the values some live residual can use, those that
+leave a remainder the blocks after it still reach.  Equal blocks keep the
+same values, so a second walk per distinct block lists its vectors of those
+values.  A bottom-up join then builds, block by block from the last, the
+lex-ordered suffix lists of each live residual, and the first block's list
+for the target is the answer.
 
 Given a Layout, the listing gives each witness's text instead of its
 coefficient tuple.  The join then concatenates rendered pieces as it
 concatenates tuples, so each walked block vector is formatted once per
-block position, not once per witness.  The one-block and sign-settled
+block position, not once per witness.  The one-block and settled
 listings, like obstruction's divisor listing, render each whole vector with
 Layout.item.
 
@@ -48,6 +55,7 @@ tracer that wraps those attributes sees them.
 from __future__ import annotations
 
 from itertools import islice
+from operator import mul
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from . import _pure
@@ -94,17 +102,22 @@ def find_minimal_witness(
     is cut short, the tables, which give the box's lexicographically first
     solution.  Boxes that hold the same vectors are decided once.
 
-    A definite form answers at once when the target's sign settles it
-    (_sign_settled): a target of the wrong sign has no solution in any box,
-    and target 0 has only h = 0, a solution iff every residue is 0.  So
-    positive definite E8 with target -8 answers None without a sweep, and
-    the form of rank 0, which takes only 0, answers every target.  The
-    residues are trusted: the obstruction layer's w2 rule checks them.  A
-    negative bound would never end the deepening, so it is refused.
+    Two exact rules answer before any box (_settled).  The coset rule:
+    h = w + 2x for w the residues, so q(h) = q(w) + 4(B(w, x) + q(x)), and
+    B(w, x) + q(x) = sum_i ((Qw)_i + Q_ii) x_i (mod 2).  So q(h) = q(w) mod
+    4, and mod 8 when w is characteristic; a target outside that coset
+    answers None without a sweep, as diag(2,2,2,2) with residues 0 and
+    target 20 does.  The sign rule: on a definite form a target of the
+    wrong sign has no solution in any box, and target 0 has only h = 0, a
+    solution iff every residue is 0.  So positive definite E8 with target
+    -8 answers None without a sweep, and the form of rank 0, which takes
+    only 0, answers every target.  The residues are trusted: the
+    obstruction layer's w2 rule checks them.  A negative bound would never
+    end the deepening, so it is refused.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
-    settled = _sign_settled(form, residues, target)
+    settled = _settled(form, residues, target)
     if settled is not None:
         return settled[0] if settled else None
     first = _block_search(form, list(residues), target)
@@ -126,18 +139,35 @@ def find_minimal_witness(
     return hit
 
 
-def _sign_settled(
+def _settled(
     form: IntersectionForm, residues: Sequence[int], target: int
 ) -> list[tuple[int, ...]] | None:
-    """Every solution in any box, when a definite form's sign settles the target.
+    """Every solution in any box, when a rule settles the target; else None.
 
-    A nondegenerate positive definite form takes no negative value and
-    takes 0 only at h = 0, which every box holds and which has residues 0;
-    a negative definite form likewise with the signs reversed, and the
-    form of rank 0 takes only the value 0.  None, for the search to
-    decide, on a degenerate or indefinite form and on a target of a sign
-    the form takes.
+    First the coset rule.  Every candidate is h = w + 2x, w the residues, so
+
+        q(h) = q(w) + 4(B(w, x) + q(x)),
+        B(w, x) + q(x) = sum_i ((Qw)_i + Q_ii) x_i  (mod 2),
+
+    and q(h) = q(w) (mod 4) always, (mod 8) when w is characteristic, that
+    is (Qw)_i = Q_ii (mod 2) for every i.  A target outside that coset has
+    no solution.  q(w) and the test are read block by block.
+
+    Then the sign rule.  A nondegenerate positive definite form takes no
+    negative value and takes 0 only at h = 0, which every box holds and
+    which has residues 0; a negative definite form likewise with the signs
+    reversed, and the form of rank 0 takes only the value 0.  None, for
+    the search to decide, when neither rule settles the target.
     """
+    square, characteristic = 0, True
+    for rows, (a, b) in zip(form.block_rows, form.blocks):
+        w = residues[a:b]
+        for i, row in enumerate(rows):
+            qw = sum(map(mul, row, w))  # (Qw)_i
+            square += w[i] * qw
+            characteristic = characteristic and not (qw - row[i]) & 1
+    if (target - square) % (8 if characteristic else 4):
+        return []
     determinant, negative = form._inertia
     if not determinant or 0 < negative < form.rank:
         return None
@@ -360,13 +390,15 @@ def enumerate_witnesses(
     that layout.  A form of two or more blocks is listed block by block
     (see _block_listing).  A form of one block is listed by one all_hits
     sweep, which solves the last coordinate; its table would evaluate every
-    point of the box.  A definite form whose target's sign settles the
-    listing is answered without either, as in find_minimal_witness.  The
-    residues are trusted, as there.
+    point of the box.  A target that the coset rule or the sign rule
+    settles (_settled) is answered without either, as in
+    find_minimal_witness: q(h) = q(w) + 4(B(w, x) + q(x)) for h = w + 2x, so
+    a target outside q(w)'s class mod 4, or mod 8 for a characteristic w,
+    lists nothing.  The residues are trusted, as there.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
-    hits = _sign_settled(form, residues, target)
+    hits = _settled(form, residues, target)
     if hits is None:
         if len(form.block_rows) >= 2:
             return _block_listing(_blocks(form, residues), bound, target, layout)

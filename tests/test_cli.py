@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -143,6 +144,33 @@ class TestManifoldFiles:
         m = dataclasses.replace(m, presentation=Presentation(0, ((),)))
         assert "\nrel = \n" in format_manifold_file(m)
         assert parse_manifold_file(format_manifold_file(m)) == m
+
+    @pytest.mark.parametrize(
+        "name, problem",
+        [
+            ("CP2 # 0 CP2bar", "holds '#', which starts a comment"),
+            ("a\nchi = 5", "holds a line break, which ends the line"),
+            (" a", "has whitespace at an end, which the reader strips"),
+            ("a\t", "has whitespace at an end, which the reader strips"),
+        ],
+    )
+    def test_a_name_that_reads_back_differently_is_refused(self, name, problem):
+        m = dataclasses.replace(parse_manifold_file(GOOD_FILE), name=name)
+        with pytest.raises(ManifoldFileError) as info:
+            format_manifold_file(m)
+        assert str(info.value) == f"cannot write the name {name!r}: it {problem}"
+
+    @given(st.text(alphabet="#\n\t =ab", max_size=8))
+    @example("a = b")
+    @example("")
+    @settings(max_examples=200, deadline=None)
+    def test_names_round_trip_or_are_refused(self, name):
+        m = dataclasses.replace(parse_manifold_file(GOOD_FILE), name=name)
+        try:
+            text = format_manifold_file(m)
+        except ManifoldFileError:
+            return
+        assert parse_manifold_file(text).name == name
 
     def test_w2_explicit_bits(self):
         text = GOOD_FILE.replace("w2 = 0", "w2 = 0,0")
@@ -709,6 +737,8 @@ def _printed(v) -> dict:
     }
 
 
+_DATA = Path(__file__).parent / "data"
+
 _E8_LITERAL = "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in E8_ROWS) + "]"
 
 
@@ -801,6 +831,30 @@ class TestStallGuards:
             f"completeness       {completeness}",
             "witnesses          0",
         ]
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate"])
+    @pytest.mark.parametrize(
+        "record, blocks", [("chain10", 1), ("neg_e8_sum", 5), ("neg_e8_sum_shuffled", 1)]
+    )
+    def test_a_target_outside_the_coset(self, capsys, time_limit, record, blocks, command):
+        # every class congruent to w2 mod 2 has square congruent to q(w2) mod
+        # 4, or mod 8 for a characteristic w2; each record's target lies
+        # outside that coset (see its file), so no box holds a witness.  A
+        # walk of the box up to 16 took longer than 20 s on each
+        time_limit(10)
+        path = _DATA / f"{record}.man"
+        assert len(parse_manifold_file(path.read_text(encoding="ascii")).form.block_rows) == blocks
+        code, out, err = run(capsys, command, "--file", str(path), "--bound", "16")
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        if command == "analyze":
+            start = lines.index("almost complex     Unknown")
+            assert lines[start + 1 : start + 3] == [
+                "  reason           box search exhausted up to max-norm 16 without a hit",
+                "  search bound     16",
+            ]
+        else:
+            assert lines[-2:] == ["completeness       BOUNDED(16)", "witnesses          0"]
 
     @pytest.mark.parametrize(
         "command, verdict",

@@ -137,8 +137,10 @@ class TestSearchStrategy:
             # one block sum whose whole-box sweep hits after 27 prefixes: the
             # sweep must settle it, not the E8 block's table
             (_E8_H, (0,) * 10, 48, (-2,) * 6 + (2, 2, -2, -2), 54),
-            # boxes without a hit up to 32: a whole-box sweep walks 41,733
-            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 20, None, 100),
+            # target 8200 lies in the coset, 8 * 1025, but sum u_i^2 = 1025
+            # exceeds 4 * 16^2 = 1024, so no box up to 32 holds a hit: a
+            # whole-box sweep walks 41,733
+            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 8200, None, 100),
             # CP2 # 7 CP2bar: a whole-box sweep walks 1,622
             (
                 [[(1 if i == 0 else -1) if i == j else 0 for j in range(8)] for i in range(8)],
@@ -147,9 +149,10 @@ class TestSearchStrategy:
                 (-3,) + (-1,) * 7,
                 100,
             ),
+            # target 8 lies in the coset, but a^2 - b^2 = 2 has no solution:
             # every budgeted sweep exhausts its box, 68 prefixes in all, so
             # no block table is built
-            ([[1, 0], [0, -1]], (0, 0), 1, None, 68),
+            ([[1, 0], [0, -1]], (0, 0), 8, None, 68),
             # one block: every box is one sweep that is never cut short, so no
             # table walks it again; diag(1) walks boxes 1, 4 and 8
             ([[1]], (1,), 25, (-5,), 3),
@@ -162,6 +165,23 @@ class TestSearchStrategy:
         q = IntersectionForm(IntegerMatrix(rows))
         assert find_minimal_witness(q, residues, 32, target) == witness
         assert 0 < walked[0] <= most
+
+    @pytest.mark.parametrize(
+        "rows, residues, target",
+        [
+            # even squares 8 * sum u_i^2: 20 is 4 mod 8
+            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 20),
+            # even a, b: a^2 - b^2 is 0 mod 4, and 1 is not
+            ([[1, 0], [0, -1]], (0, 0), 1),
+        ],
+        ids=["diag(2,2,2,2)", "diag(1,-1)"],
+    )
+    def test_targets_outside_the_coset_walk_no_prefix(self, monkeypatch, rows, residues, target):
+        walked = _counting_prefixes(monkeypatch)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert find_minimal_witness(q, residues, 32, target) is None
+        assert enumerate_witnesses(q, residues, 32, target) == []
+        assert walked[0] == 0
 
     def test_rank_zero_form(self, monkeypatch):
         q = IntersectionForm(IntegerMatrix([]))
@@ -360,8 +380,11 @@ class TestAgainstBruteForce:
     # E8 + H: the whole-box sweep hits early, so it settles the box
     @example((_E8_H, [0] * 10, 2, 8))
     @example((_E8_H, [0] * 10, 2, 48))
-    # diag(2,2,2,2): no box holds a solution, so the tables decide each one
+    # diag(2,2,2,2): target 20 lies outside the coset, so no box is walked;
+    # target 520 = 8 * 65 lies in it, no box holds a solution (65 > 4 * 4^2),
+    # and the tables decide the boxes the budgeted sweep cuts short
     @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 20))
+    @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 520))
     # <1> + <-1> + <1>: the equal first and last blocks see different live
     # residuals but keep the same values, so one listing walk serves both
     @example(([[1, 0, 0], [0, -1, 0], [0, 0, 1]], [1, 1, 1], 5, 1))
@@ -435,6 +458,35 @@ class TestSignRule:
         q = IntersectionForm(IntegerMatrix(rows))
         assert enumerate_witnesses(q, residues, bound, target) == hits
         assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
+
+
+class TestSettledTargets:
+    """A target answered with no walk has no solution in the box, or only h = 0."""
+
+    def test_random_forms_against_box_solutions(self, monkeypatch):
+        # symmetric forms of rank 1 to 4 with entries in [-3, 3]: degenerate,
+        # indefinite and definite ones, with random residues and targets
+        walked = _counting_prefixes(monkeypatch)
+        rng = random.Random(27)
+        settled = 0
+        for _ in range(1500):
+            rank = rng.randint(1, 4)
+            rows = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for j in range(i, rank):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            residues = tuple(rng.randint(0, 1) for _ in range(rank))
+            bound, target = rng.randint(0, 3), rng.randint(-30, 30)
+            hits = box_solutions(rows, residues, bound, target)
+            q = IntersectionForm(IntegerMatrix(rows))
+            before = walked[0]
+            assert find_minimal_witness(q, residues, bound, target) == _minimal(hits)
+            assert enumerate_witnesses(q, residues, bound, target) == hits
+            if walked[0] == before:
+                settled += 1
+                assert hits in ([], [(0,) * rank])
+        # most draws are answered with no walk, nearly all by the coset rule
+        assert settled > 1000
 
 
 class TestWorstCase:
