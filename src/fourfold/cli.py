@@ -304,11 +304,17 @@ def _json_layout(rank: int, square: int) -> Layout:
 
 
 def _write_items(head: str, items: Sequence[str], sep: str, end: str) -> None:
-    """Write head, the items joined by sep and end to stdout, _CHUNK items per write."""
+    """Write head, the items joined by sep and end to stdout, _CHUNK items per write.
+
+    The sep between two chunks is written on its own, so no chunk's text is
+    copied to put it in front.
+    """
     write = sys.stdout.write
     write(head)
     for i in range(0, len(items), _CHUNK):
-        write((sep if i else "") + sep.join(items[i : i + _CHUNK]))
+        if i:
+            write(sep)
+        write(sep.join(items[i : i + _CHUNK]))
     write(end)
 
 

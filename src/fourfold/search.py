@@ -37,9 +37,11 @@ lex-ordered suffix lists of each live residual, and the first block's list
 for the target is the answer.
 
 Given a Layout, the listing gives each witness's text instead of its
-coefficient tuple.  The join then concatenates rendered pieces as it
-concatenates tuples, so each walked block vector is formatted once per
-block position, not once per witness.  The one-block and settled
+coefficient tuple.  The listing walk then yields each kept block vector's
+coefficient text, built prefix by prefix, so each distinct block's vectors
+are rendered once, in the walk that lists them.  Each block position wraps
+that text in the layout's open, sep or close, and the join concatenates
+those pieces as it concatenates tuples.  The one-block and settled
 listings, like obstruction's divisor listing, render each whole vector with
 Layout.item.
 
@@ -209,20 +211,34 @@ def _walk(
     rank: int,
     bound: int,
     skip: Container[int],
-) -> Iterator[tuple[tuple[int, ...], int]]:
+    sep: str | None = None,
+) -> Iterator[tuple[tuple[int, ...] | str, int]]:
     """The block's parity box in lex order, less the points whose value is in skip.
 
-    Yields (vector, value).  skip is read at each point, so a caller may
-    add to it between yields.
+    Yields (vector, value), or given sep (text, value), the text being the
+    vector's coefficients joined by sep.  A text is made as its prefix's
+    part, once per prefix that keeps a point, plus its last coordinate's,
+    taken from a list made once per walk, so a kept point costs one
+    concatenation.  skip is read at each point, so a caller may add to it
+    between yields.
     """
-    last = range(_pure._start_value(residues[-1], bound), bound + 1, 2)
+    lo = _pure._start_value(residues[-1], bound)
+    last = range(lo, bound + 1, 2)
+    ends = None if sep is None else list(map(str, last))
     a = qflat[-1]
     for cur, k, c in _pure.prefixes(qflat, residues, rank, bound):
+        start = None
         for v in last:
             q = k + (2 * c + a * v) * v  # q(prefix, v)
-            if q not in skip:
+            if q in skip:
+                continue
+            if ends is None:
                 cur[-1] = v
                 yield tuple(cur), q
+            else:
+                if start is None:  # each prefix coefficient followed by sep
+                    start = "".join([f"{x}{sep}" for x in cur[:-1]])
+                yield start + ends[(v - lo) >> 1], q  # last steps by 2 from lo
 
 
 def _tables(
@@ -304,22 +320,21 @@ def _block_search(
     return first
 
 
-def _pieces(
-    listed: list[tuple[tuple[int, ...], int]], layout: Layout | None, b: int, last: int
-) -> list:
-    """(piece, value) of block b's listed vectors: the vector itself, or its text in layout.
+def _pieces(listed: list, layout: Layout | None, b: int, last: int) -> list:
+    """(piece, value) of block b's listed vectors: the vector itself, or its wrapped text.
 
-    The first block's text opens the witness's item, every block's text but
-    the last's ends with sep, and the last block's closes the item.  So
-    equal blocks share a walked list but not a text, and one piece per
-    block, concatenated, is the item.
+    With a layout, listed holds each vector's coefficient text, rendered by
+    the listing walk, and the piece wraps it for position b: the first
+    block's opens the witness's item, every block's but the last's ends with
+    sep, and the last block's closes the item.  So equal blocks share a
+    walked list and its text but not a piece, and one piece per block,
+    concatenated, is the item.
     """
     if layout is None:
         return listed
-    sep = layout.sep
     head = layout.open if b == 0 else ""
-    tail = layout.close if b == last else sep
-    return [(head + sep.join(map(str, x)) + tail, v) for x, v in listed]
+    tail = layout.close if b == last else layout.sep
+    return [(head + text + tail, v) for text, v in listed]
 
 
 def _block_listing(blocks: list[Block], bound: int, target: int, layout: Layout | None) -> list:
@@ -332,7 +347,8 @@ def _block_listing(blocks: list[Block], bound: int, target: int, layout: Layout 
     reached by the blocks after it.  A block keeps the values v for which
     target - v is a sum of the other blocks' values, so equal blocks keep
     the same set, and one walk per distinct block lists its vectors of kept
-    values in lex order.
+    values in lex order; given a layout, that walk renders each one's
+    coefficient text, joined by the layout's sep.
 
     A bottom-up join then builds, for each live residual r of block b,
     tail[r]: the suffixes from block b on whose value is r, in lex order.
@@ -344,8 +360,9 @@ def _block_listing(blocks: list[Block], bound: int, target: int, layout: Layout 
     output has rows, and only two levels are alive at once.
 
     The join reads each block's pieces (_pieces): its vectors, so that a
-    suffix is a tuple, or with a layout their texts, so that a suffix is the
-    text of its coefficients and tail_0[target] holds finished items.
+    suffix is a tuple, or with a layout their texts wrapped for the block's
+    position, so that a suffix is the text of its coefficients and
+    tail_0[target] holds finished items.
     """
     tables, reach = _tables(blocks, bound)
     last = len(blocks) - 1
@@ -363,10 +380,11 @@ def _block_listing(blocks: list[Block], bound: int, target: int, layout: Layout 
     if not live:
         return []
     keep[blocks[last]] |= live
-    lists: dict[Block, list[tuple[tuple[int, ...], int]]] = {}
+    sep = None if layout is None else layout.sep
+    lists: dict[Block, list] = {}
     for block, table in zip(blocks, tables):
         if block not in lists:
-            lists[block] = list(_walk(*block, bound, table.keys() - keep[block]))
+            lists[block] = list(_walk(*block, bound, table.keys() - keep[block], sep))
 
     tail: dict[int, list] = {}
     for x, q in _pieces(lists[blocks[last]], layout, last, last):
@@ -389,12 +407,13 @@ def enumerate_witnesses(
     Each solution is its coefficient tuple, or with a layout its text in
     that layout.  A form of two or more blocks is listed block by block
     (see _block_listing).  A form of one block is listed by one all_hits
-    sweep, which solves the last coordinate; its table would evaluate every
-    point of the box.  A target that the coset rule or the sign rule
-    settles (_settled) is answered without either, as in
-    find_minimal_witness: q(h) = q(w) + 4(B(w, x) + q(x)) for h = w + 2x, so
-    a target outside q(w)'s class mod 4, or mod 8 for a characteristic w,
-    lists nothing.  The residues are trusted, as there.
+    sweep of block_rows[0], which solves the last coordinate; its table
+    would evaluate every point of the box.  Neither reads form.matrix.  A
+    target that the coset rule or the sign rule settles (_settled) is
+    answered without either, as in find_minimal_witness:
+    q(h) = q(w) + 4(B(w, x) + q(x)) for h = w + 2x, so a target outside
+    q(w)'s class mod 4, or mod 8 for a characteristic w, lists nothing.
+    The residues are trusted, as there.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
@@ -402,6 +421,6 @@ def enumerate_witnesses(
     if hits is None:
         if len(form.block_rows) >= 2:
             return _block_listing(_blocks(form, residues), bound, target, layout)
-        qflat = _flatten(form.matrix.entries())
+        qflat = _flatten(form.block_rows[0])
         hits = _pure.all_hits(qflat, list(residues), form.rank, bound, target)
     return hits if layout is None else list(map(layout.item, hits))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import _pure
+from fourfold.cli import _TEXT_LAYOUT, _json_layout
 from fourfold.forms import IntegerMatrix, IntersectionForm, build_form
 from fourfold.obstruction import VerdictStatus, decide_wu_existence
 from fourfold.search import Layout, enumerate_witnesses, find_minimal_witness
@@ -196,6 +197,31 @@ class TestSearchStrategy:
             assert enumerate_witnesses(q, (), 5, target) == listed
             assert enumerate_witnesses(q, (), 5, target, layout) == ["[]"] * len(listed)
             assert find_minimal_witness(q, (), 5, target) == (listed[0] if listed else None)
+
+    @pytest.mark.parametrize(
+        "form, rows, residues, bound, target",
+        [
+            (IntersectionForm.hyperbolic(1), H_ROWS, (0, 0), 4, 8),
+            (IntersectionForm.hyperbolic(1), H_ROWS, (1, 1), 3, 2),
+            (IntersectionForm.diagonal([3]), [[3]], (1,), 3, 27),
+        ],
+        ids=["H-even", "H-odd", "diag(3)"],
+    )
+    def test_one_block_listing_reads_no_dense_matrix(
+        self, monkeypatch, form, rows, residues, bound, target
+    ):
+        # the one-block listing sweeps block_rows[0], so form.matrix is never built
+        def dense(_):
+            raise AssertionError("the listing read form.matrix")
+
+        monkeypatch.setattr(IntersectionForm, "matrix", property(dense))
+        hits = box_solutions(rows, residues, bound, target)
+        assert hits
+        assert enumerate_witnesses(form, residues, bound, target) == hits
+        layout = Layout("[", ", ", "]")
+        assert enumerate_witnesses(form, residues, bound, target, layout) == [
+            layout.item(h) for h in hits
+        ]
 
     def test_agrees_with_sumset_oracle(self):
         rng = random.Random(2024)
@@ -418,6 +444,94 @@ class TestAgainstBruteForce:
         q = IntersectionForm(IntegerMatrix(rows))
         assert enumerate_witnesses(q, residues, 4, 7) == box_solutions(rows, residues, 4, 7)
         assert sorted(walks) == [1, 1, 2, 2]
+
+    def test_rendered_listing_walks_each_distinct_block_twice(self, monkeypatch):
+        # the same listing with a layout: the listing walk renders the texts,
+        # so rendering adds no third walk
+        rows = block_sum(H_ROWS, [[-1]], H_ROWS)
+        residues = (0, 0, 1, 0, 0)
+        q = IntersectionForm(IntegerMatrix(rows))
+        tuples = enumerate_witnesses(q, residues, 4, 7)
+        walks = []
+        prefixes = _pure.prefixes
+
+        def recording(qflat, residues, rank, limit):
+            walks.append(rank)
+            return prefixes(qflat, residues, rank, limit)
+
+        monkeypatch.setattr(_pure, "prefixes", recording)
+        layout = Layout("[", ", ", "]")
+        assert enumerate_witnesses(q, residues, 4, 7, layout) == list(map(layout.item, tuples))
+        assert sorted(walks) == [1, 1, 2, 2]
+
+
+_A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+_NEG_A3 = [[-x for x in row] for row in _A3]
+# blocks of rank 3 and 4, so that a walked prefix holds two or more coordinates
+_LISTING_BLOCKS = [_A3, _NEG_A3, _CHAIN_2224, H_ROWS, [[1]], [[-1]], [[2]]]
+# one distinct block first, in the middle and last
+_PLACED_SUMS = [
+    [_A3, [[-1]], _A3],
+    [H_ROWS, _A3, H_ROWS],
+    [_CHAIN_2224, [[1]], [[1]]],
+    [[[2]], _NEG_A3, [[2]]],
+    [H_ROWS, H_ROWS, _CHAIN_2224],
+    [[[-1]], [[-1]], _A3],
+]
+
+
+class TestRenderedListing:
+    """A listing given a layout: its texts against layout.item and the brute force."""
+
+    @staticmethod
+    def _check(blocks, residues, bound, target):
+        rows = block_sum(*blocks)
+        q = IntersectionForm(IntegerMatrix(rows))
+        tuples = enumerate_witnesses(q, residues, bound, target)
+        assert tuples == box_solutions(rows, residues, bound, target)
+        for layout in (_TEXT_LAYOUT, _json_layout(len(rows), target)):
+            rendered = enumerate_witnesses(q, residues, bound, target, layout)
+            assert rendered == list(map(layout.item, tuples))
+        return len(tuples)
+
+    @staticmethod
+    def _targets(rng, rows, residues, bound):
+        """The value at two random box points, and one random target."""
+        axes = [[v for v in range(-bound, bound + 1) if (v - r) % 2 == 0] for r in residues]
+        points = [[rng.choice(axis) for axis in axes] for _ in range(2)]
+        return [quadratic_value(rows, h) for h in points] + [rng.randint(-20, 20)]
+
+    def test_placed_blocks(self):
+        rng = random.Random(28)
+        listed = 0
+        for blocks in _PLACED_SUMS:
+            rows = block_sum(*blocks)
+            rank = len(rows)
+            mixed = tuple(rng.randint(0, 1) for _ in range(rank))
+            for residues in ((0,) * rank, (1,) * rank, mixed):
+                for bound in range(5 if rank < 7 else 3):
+                    if 1 in residues and bound == 0:
+                        continue  # box 0 holds no odd coordinate
+                    for target in self._targets(rng, rows, residues, bound):
+                        listed += self._check(blocks, residues, bound, target)
+        assert listed > 1000
+
+    def test_random_block_sums(self):
+        rng = random.Random(128)
+        listed = 0
+        for _ in range(150):
+            blocks = [rng.choice(_LISTING_BLOCKS[:3])]
+            blocks += rng.choices(_LISTING_BLOCKS, k=rng.randint(1, 2))
+            rng.shuffle(blocks)
+            rows = block_sum(*blocks)
+            rank = len(rows)
+            residues = tuple(rng.randint(0, 1) for _ in range(rank))
+            bound = rng.randint(1 if 1 in residues else 0, 4 if rank < 6 else 2)
+            while bound > 1 and (bound + 1) ** rank > 4000:  # keep the brute force small
+                bound -= 1
+            for target in self._targets(rng, rows, residues, bound):
+                listed += self._check(blocks, residues, bound, target)
+        assert listed > 1000
 
 
 @st.composite
