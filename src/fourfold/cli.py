@@ -16,15 +16,20 @@ invariant validation failures, 0 otherwise.  The default search bound is
 32; the FOURFOLD_BOUND environment variable overrides it and the --bound
 flag wins over both.  All output is deterministic: two runs on the same
 input are byte-identical.
+
+main hands a subcommand's arguments straight to that subcommand's own
+parser, as argparse's subcommand action would; the top-level parser runs
+only for an empty argument list, help and unknown commands.  --json output
+is written by _json_text, byte-identical to json.dumps(indent=2).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .abelian import Presentation, PresentationError, Row, parse_abelian_group
@@ -277,8 +282,43 @@ def _manifold_dict(m: ManifoldInvariants) -> dict:
     }
 
 
+def _json_text(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2)'s text of a document the commands build.
+
+    indent is the line break and indentation that x's closing bracket
+    follows; x's items each go on a line indented two spaces more.  An
+    empty dict or list is {} or [].  Strings and keys go through json's own
+    ASCII escaper and ints through int.__repr__, so an int past the digit
+    limit raises the same ValueError.  Only dicts with str keys, lists,
+    tuples, str, int, bool and None are written; any other type raises
+    TypeError.
+    """
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    inner = indent + "  "
+    if t is dict:
+        if not x:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + indent + "]"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+    print(_json_text(document))
 
 
 # the text listing's layout: f"  {w}" of each ChernWitness w
@@ -289,12 +329,13 @@ _CHUNK = 4096
 
 
 def _json_layout(rank: int, square: int) -> Layout:
-    """json.dumps(indent=2)'s text of one witness in the "witnesses" list.
+    """_json_text's text of one witness in the "witnesses" list.
 
-    It puts every witness at the same indents, and every listed witness has
-    the same square, so only the coefficients differ from item to item.
+    _json_text indents each nesting level two spaces more, so every witness
+    sits at the same indents, and every listed witness has the same square,
+    so only the coefficients differ from item to item.
     """
-    # json.dumps writes an empty list as [] on one line
+    # an empty list is [] on one line
     vector = ("[\n        ", ",\n        ", "\n      ]") if rank else ("[", "", "]")
     return Layout(
         '    {\n      "coefficients": ' + vector[0],
@@ -321,11 +362,11 @@ def _write_items(head: str, items: Sequence[str], sep: str, end: str) -> None:
 def _emit_enumeration_json(header: dict, items: Sequence[str]) -> None:
     """_emit_json of header plus a last "witnesses" key, byte for byte.
 
-    items are the witnesses' texts in _json_layout, as json.dumps(indent=2)
-    writes each one inside the list.
+    items are the witnesses' texts in _json_layout, as _json_text writes
+    each one inside the list.
     """
     # the header ends in "\n}"; the witnesses key goes in before it
-    head = json.dumps(header, indent=2)[:-2] + ',\n  "witnesses": '
+    head = _json_text(header)[:-2] + ',\n  "witnesses": '
     if items:
         _write_items(head + "[\n", items, ",\n", "\n  ]\n}\n")
     else:
@@ -461,6 +502,10 @@ def _add_source_flags(parser: _Parser, family_only: bool = False) -> None:
         parser.add_argument("--file", metavar="PATH", help="manifold file to read")
 
 
+# each subcommand's parser by name, filled by build_parser
+_COMMANDS: dict[str, _Parser] = {}
+
+
 @cache  # argparse formats every argument as it is added; do that once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="fourfold", description="structure obstructions for 4-manifolds")
@@ -488,13 +533,19 @@ def build_parser() -> _Parser:
     validate.add_argument("--json", action="store_true")
     validate.set_defaults(handler=_cmd_validate)
 
+    _COMMANDS.update(sub.choices)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse's subcommand action hands the rest of argv to the named
+    # subcommand's parser; a known name goes there without the top level
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         if getattr(args, "family", None) is None and getattr(args, "file", None) is None:
             raise _UsageError("one of --family or --file is required")
         if getattr(args, "family", None) is not None and getattr(args, "file", None) is not None:

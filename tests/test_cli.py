@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourfold
-from fourfold import obstruction, search
+from fourfold import cli, obstruction, search
 from fourfold.abelian import Presentation, PresentationError, abelianize
 from fourfold.cli import (
     EXIT_INVALID,
@@ -31,6 +31,8 @@ from fourfold.cli import (
     ManifoldFileError,
     _emit_enumeration_json,
     _json_layout,
+    _json_text,
+    build_parser,
     format_manifold_file,
     main,
     parse_manifold_file,
@@ -1112,6 +1114,145 @@ class TestExitCodesAndErrors:
             EXIT_PARSE, "", "error: matrix entry must be an integer, got '1 2'\n"
         )
 
+
+
+# characters json escapes in its own ways: quotes, backslashes, control
+# characters, DEL, non-ASCII, the line separators and lone surrogates
+_JSON_CHARS = st.sampled_from(
+    '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\xe9\u2028\u2029\ud800\udbff\udfff\U0001f600'
+) | st.characters(exclude_categories=())
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text(_JSON_CHARS)
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(_JSON_CHARS, max_size=4), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """cli._json_text writes json.dumps(indent=2)'s bytes, errors included."""
+
+    @settings(max_examples=400)
+    @given(_JSON_DOCUMENTS)
+    @example({"a": {}, "b": [], "c": [True, False, None, 0, -1], "d": ("x", {"e": [[]]})})
+    @example(["\u2028\ud800\U0001f600 \"\\", -(10**300), 10**299 + 7])
+    def test_equals_the_stdlib(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda x: x, lambda x: {"a": [1, x]}], ids=["bare", "nested"]
+    )
+    def test_an_int_past_the_digit_limit(self, wrap):
+        doc = wrap(-(10 ** (sys.get_int_max_str_digits() + 1)))
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(doc, indent=2)
+        with pytest.raises(ValueError) as writer:
+            _json_text(doc)
+        assert str(writer.value) == str(stdlib.value)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1}, b"x", object()], ids=["float", "set", "bytes", "object"]
+    )
+    def test_other_types_are_refused(self, value):
+        # json.dumps writes a float, but no document the commands build holds one
+        with pytest.raises(TypeError):
+            _json_text({"a": [value]})
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); a SystemExit's code stands for the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# F stands for a good record's path
+_VALID_ARGV = [
+    ["analyze", "--file", "F", "--bound", "4", "--json", "--assume-pi1-distinct"],
+    ["analyze", "--assume-pi1-distinct", "--json", "--bound", "4", "--file", "F"],
+    ["analyze", "--family", "M1 g=2", "--bound=4"],
+    ["analyze", "--bou", "3", "--js", "--fi", "F"],
+    ["analyze", "--json", "--file", "F", "--json"],
+    ["enumerate", "--file", "F", "--bound", "4", "--json"],
+    ["enumerate", "--json", "--bound=4", "--file", "F"],
+    ["enumerate", "--fi", "F", "--bou", "2"],
+    ["validate", "--file", "F", "--json"],
+    ["validate", "--json", "--file", "F"],
+    ["validate", "--js", "--fi", "F", "--json"],
+    ["family", "--family", "M1 g=2"],
+    ["family", "--fam", "M4 n=3"],
+]
+_USAGE_ERROR_ARGV = [
+    ["analyze", "--file", "F", "--frobnicate"],
+    ["analyze", "--file", "F", "--bound"],
+    ["analyze", "--file", "F", "stray"],
+    ["analyze", "--", "--file", "F"],
+    ["validate", "--file", "F", "--bound", "3"],
+    ["family", "--family", "M1 g=2", "--json"],
+    ["analyze", "--family", "M1 g=2", "--file", "F"],
+]
+_TOP_LEVEL_ARGV = [
+    [], ["--help"], ["analyze", "--help"], ["enumerate", "-h"], ["anal"], ["--version"]
+]
+
+
+def _with_file(argv, path):
+    return [str(path) if a == "F" else a for a in argv]
+
+
+class TestDispatch:
+    """main hands a subcommand's argv to its own parser, as argparse's subcommand action does."""
+
+    @pytest.fixture
+    def record(self, tmp_path):
+        path = tmp_path / "m.man"
+        path.write_text(GOOD_FILE, encoding="ascii")
+        return path
+
+    @pytest.mark.parametrize("argv", _VALID_ARGV + _USAGE_ERROR_ARGV + _TOP_LEVEL_ARGV)
+    def test_main_equals_the_top_level_parser(self, capsys, record, argv):
+        argv = _with_file(argv, record)
+        direct = _main_outcome(capsys, argv)
+        with mock.patch.dict(cli._COMMANDS, clear=True):  # every argv through the top level
+            assert _main_outcome(capsys, argv) == direct
+
+    @pytest.mark.parametrize("argv", _USAGE_ERROR_ARGV)
+    def test_usage_errors_are_one_error_line(self, capsys, record, argv):
+        code, out, err = _main_outcome(capsys, _with_file(argv, record))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+
+    @pytest.mark.parametrize("argv", _VALID_ARGV)
+    def test_namespaces_are_equal(self, record, argv):
+        argv = _with_file(argv, record)
+        top = vars(build_parser().parse_args(argv))
+        assert top.pop("command") == argv[0]
+        assert vars(cli._COMMANDS[argv[0]].parse_args(argv[1:])) == top
+
+    def test_subcommands_skip_the_top_level_parser(self, capsys, record):
+        with mock.patch.object(build_parser(), "parse_args", side_effect=AssertionError):
+            for argv in (
+                ["analyze", "--file", str(record), "--json"],
+                ["enumerate", "--file", str(record), "--bound", "2"],
+                ["validate", "--file", str(record)],
+                ["family", "--family", "M1 g=2"],
+            ):
+                code, out, err = _main_outcome(capsys, argv)
+                assert (code, err) == (EXIT_OK, "")
+                assert out
 
 
 class TestIntegerDigitLimit:
