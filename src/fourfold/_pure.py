@@ -12,11 +12,11 @@ values.  Once a prefix is fixed, q is a quadratic in the last coordinate v,
 
 with a = Q[last][last], c the cross term of v with the prefix and k the
 square of the prefix, so the values of v that hit a target are the integer
-roots of a 1-D quadratic (or linear) equation, found with isqrt.  solutions
-reads a walk that way and yields every solution in lexicographic order, so a
-sweep costs O(limit^(rank - 1)) instead of O(limit^rank); hits runs it on the
-whole box.  The block tables in fourfold.search read the same walk for their
-blocks' values.
+roots of a 1-D quadratic (or linear) equation, found with isqrt.  hits reads
+the whole box's walk that way and yields every solution in lexicographic
+order, so a sweep costs O(limit^(rank - 1)) instead of O(limit^rank).  The
+block tables and the block walks in fourfold.search read the same walk for
+their blocks' values.
 """
 
 from __future__ import annotations
@@ -91,26 +91,18 @@ def prefixes(qflat, residues, rank, limit):
             cur[d] += 2
 
 
-def solutions(walk, qflat, residues, limit, target):
-    """The hits on the prefixes that walk yields, in order.
-
-    walk is prefixes(qflat, residues, rank, limit) or a part of it, so a
-    caller can cap the prefixes a sweep may walk.
-    """
-    a = qflat[-1]
-    lo = _start_value(residues[-1], limit)
-    for cur, k, c in walk:
-        for v in _last_values(a, c, k - target, lo, limit):
-            cur[-1] = v
-            yield tuple(cur)
-
-
 def hits(qflat, residues, rank, limit, target):
     """Every h in the box with q(h) == target, in lexicographic order."""
     if rank == 0:
-        return iter([()] if target == 0 else [])
-    walk = prefixes(qflat, residues, rank, limit)
-    return solutions(walk, qflat, residues, limit, target)
+        if target == 0:
+            yield ()
+        return
+    a = qflat[-1]
+    lo = _start_value(residues[-1], limit)
+    for cur, k, c in prefixes(qflat, residues, rank, limit):
+        for v in _last_values(a, c, k - target, lo, limit):
+            cur[-1] = v
+            yield tuple(cur)
 
 
 def first_hit(qflat, residues, rank, limit, target):

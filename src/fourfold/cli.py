@@ -497,7 +497,9 @@ def _cmd_validate(args) -> int:
 
 
 def _add_source_flags(parser: _Parser, family_only: bool = False) -> None:
-    parser.add_argument("--family", metavar="SPEC", help='family spec, e.g. "M1 g=2"')
+    parser.add_argument(
+        "--family", metavar="SPEC", required=family_only, help='family spec, e.g. "M1 g=2"'
+    )
     if not family_only:
         parser.add_argument("--file", metavar="PATH", help="manifold file to read")
 

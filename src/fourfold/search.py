@@ -22,19 +22,21 @@ The coset rule: every candidate is h = w + 2x, w the residues, so
 and q(h) = q(w) mod 4, or mod 8 when w is characteristic ((Qw)_i = Q_ii
 mod 2 for every i); a target outside that coset has no solution in any
 box.  The sign rule: on a definite form a target of the wrong sign has no
-solution, and target 0 only h = 0.  The search has one box decider for
-every form.  It sweeps each box whole for its first hit but walks at most
-as many prefixes as the tables have points; a sweep cut short leaves the
-box to the tables, which pick its lex-first solution block by block.  On
-one block that budget covers the whole box, so the sweep decides it and no
-table is built.  The listing sweeps a form of one block whole, by one
-all_hits sweep that solves the last coordinate.  On two or more blocks it
-keeps, per block, only the values some live residual can use, those that
-leave a remainder the blocks after it still reach.  Equal blocks keep the
-same values, so a second walk per distinct block lists its vectors of those
-values.  A bottom-up join then builds, block by block from the last, the
-lex-ordered suffix lists of each live residual, and the first block's list
-for the target is the answer.
+solution, and target 0 only h = 0.
+
+The search decides a box as the listing lists one.  A form of one block is
+swept whole for its first hit, which solves the last coordinate, and no
+table is built.  A sum of two or more blocks builds the tables of the
+blocks after the first, walks the first block in lex order, and stops at
+its first vector whose residual the other blocks reach together; each later
+block then takes its lex-smallest vector whose residual the blocks after it
+still reach.  The listing sweeps a form of one block whole, by one all_hits
+sweep.  On two or more blocks it keeps, per block, only the values some
+live residual can use, those that leave a remainder the blocks after it
+still reach.  Equal blocks keep the same values, so a second walk per
+distinct block lists its vectors of those values.  A bottom-up join then
+builds, block by block from the last, the lex-ordered suffix lists of each
+live residual, and the first block's list for the target is the answer.
 
 Given a Layout, the listing gives each witness's text instead of its
 coefficient tuple.  The listing walk then yields each kept block vector's
@@ -46,17 +48,17 @@ listings, like obstruction's divisor listing, render each whole vector with
 Layout.item.
 
 Everything reads _pure.prefixes, which keeps each prefix's square and its
-cross term with the last coordinate as running values: the sweeps solve the
-last coordinate in closed form, the tables and the listing evaluate it
-value by value.  All of it is arbitrary-precision, so every form and bound
-is searched exactly.  _pure.prefixes and the listing's whole-box sweep
-(_pure.all_hits) are looked up on the _pure module at call time, so a
+cross term with the last coordinate as running values: the one-block sweeps
+solve the last coordinate in closed form, the block walks evaluate it value
+by value.  All of it is arbitrary-precision, so every form and bound is
+searched exactly.  Neither the search nor the listing reads the dense
+form.matrix.  _pure.prefixes and the one-block sweeps (_pure.hits and
+_pure.all_hits) are looked up on the _pure module at call time, so a
 tracer that wraps those attributes sees them.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from operator import mul
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
@@ -98,11 +100,12 @@ def find_minimal_witness(
     the answer: it is the lexicographically first of all box solutions, so
     also of those on its own shell.
 
-    Every box of a form of rank 1 or more is decided one way
-    (_block_search): a first-hit sweep of the whole box that walks at most
-    as many prefixes as the block tables have points, then, when that sweep
-    is cut short, the tables, which give the box's lexicographically first
-    solution.  Boxes that hold the same vectors are decided once.
+    Each box of a form of rank 1 or more is decided block by block
+    (_block_search): a form of one block is swept whole for its first hit,
+    and a sum of two or more walks its first block in lex order against the
+    other blocks' tables, which then give the rest of the box's
+    lexicographically first solution.  Boxes that hold the same vectors are
+    decided once.
 
     Two exact rules answer before any box (_settled).  The coset rule:
     h = w + 2x for w the residues, so q(h) = q(w) + 4(B(w, x) + q(x)), and
@@ -266,24 +269,16 @@ def _block_search(
 ) -> Callable[[int], tuple[int, ...] | None]:
     """first(box): the lex-first solution in the box, or None; rank 1 or more.
 
-    A whole-box first-hit sweep runs first.  Its budget is the number of
-    points the tables would walk, the sum of the distinct blocks' box sizes,
-    and it may walk that many prefixes of the whole box.  So it settles a
-    box that it exhausts or whose first hit comes early (E8 + H), and is cut
-    short where the box is large and its hits late or absent (CP2 # k CP2bar,
-    diag(2,2,2,2)).  On one block the budget is the box's point count, no
-    less than its prefix count, so the sweep is never cut short.  Otherwise
-    the tables decide: the box holds a solution iff target - v is in
-    reach[0] for some value v of block 0.  The blocks are contiguous
-    intervals, so the lex-first solution takes, block by block, the
-    lex-smallest vector whose residual the blocks after it still reach.
+    One block is swept whole: its first hit, the last coordinate solved in
+    closed form, is the answer.  A sum of two or more blocks walks its first
+    block against the others' tables: after holds the values blocks 1, 2,
+    ... reach together, and the first vector v of block 0, in lex order,
+    whose residual target - q(v) is in after starts the answer.  Each later
+    block then takes its lex-smallest vector whose residual the blocks after
+    it still reach.  The blocks are contiguous intervals, so the box's lex
+    order is block 0's order first, and that is the lex-first solution.
     """
-    qflat = _flatten(form.matrix.entries())
-    rank = form.rank
     blocks = _blocks(form, residues)
-    # a block's box holds evens**e * odds**o vectors, with e even and o odd
-    # residues: (e, o) of each distinct block
-    shapes = [(res.count(0), res.count(1)) for _, res, _ in set(blocks)]
     # boxes that hold the same vectors have the same first solution: box 2
     # holds just box 1's when every residue is odd, and box 1 just box 0's
     # when every residue is even
@@ -294,27 +289,26 @@ def _block_search(
         evens, odds = box // 2 * 2 + 1, (box + 1) // 2 * 2
         key = (evens * has_even, odds * has_odd)
         if key not in seen:
-            seen[key] = decide(box, evens, odds)
+            seen[key] = decide(box)
         return seen[key]
 
-    def decide(box: int, evens: int, odds: int) -> tuple[int, ...] | None:
-        if has_odd and not odds:  # box 0 holds no odd coordinate
+    def decide(box: int) -> tuple[int, ...] | None:
+        if has_odd and not box:  # box 0 holds no odd coordinate
             return None
-        budget = sum(evens**e * odds**o for e, o in shapes)
-        walk = _pure.prefixes(qflat, residues, rank, box)
-        capped = _pure.solutions(islice(walk, budget), qflat, residues, box, target)
-        hit = next(capped, None)
-        if hit is not None or next(walk, None) is None:  # a hit, or the box exhausted
-            return hit
-        tables, reach = _tables(blocks, box)
-        found: tuple[int, ...] = ()
-        residual = target
-        for table, after in zip(tables, reach):
-            pick = min(((x, v) for v, x in table.items() if residual - v in after), default=None)
-            if pick is None:
-                return None
-            found += pick[0]
-            residual -= pick[1]
+        if len(blocks) == 1:
+            return next(_pure.hits(*blocks[0], box, target), None)
+        tables, reach = _tables(blocks[1:], box)
+        after = {v + s for v in tables[0] for s in reach[0]}
+        for found, v in _walk(*blocks[0], box, ()):
+            residual = target - v
+            if residual in after:
+                break
+        else:
+            return None
+        for table, reached in zip(tables, reach):
+            x, v = min((x, v) for v, x in table.items() if residual - v in reached)
+            found += x
+            residual -= v
         return found
 
     return first

@@ -1019,6 +1019,12 @@ class TestExitCodesAndErrors:
         assert code == EXIT_PARSE
         assert "one of --family or --file" in err
 
+    def test_family_without_spec_names_only_family(self, capsys):
+        # the family subcommand takes no --file, so its error names --family alone
+        code, out, err = run(capsys, "family")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: the following arguments are required: --family\n"
+
     def test_both_sources(self, capsys, tmp_path):
         path = tmp_path / "m.man"
         path.write_text(GOOD_FILE, encoding="ascii")
@@ -1202,6 +1208,7 @@ _USAGE_ERROR_ARGV = [
     ["analyze", "--", "--file", "F"],
     ["validate", "--file", "F", "--bound", "3"],
     ["family", "--family", "M1 g=2", "--json"],
+    ["family"],
     ["analyze", "--family", "M1 g=2", "--file", "F"],
 ]
 _TOP_LEVEL_ARGV = [

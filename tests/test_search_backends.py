@@ -135,31 +135,52 @@ class TestSearchStrategy:
     @pytest.mark.parametrize(
         "rows, residues, target, witness, most",
         [
-            # one block sum whose whole-box sweep hits after 27 prefixes: the
-            # sweep must settle it, not the E8 block's table
-            (_E8_H, (0,) * 10, 48, (-2,) * 6 + (2, 2, -2, -2), 54),
+            # a sum walks its first block against the others' tables: box 0
+            # walks one prefix of each block, box 1 holds box 0's points, and
+            # box 2 walks H's table, 3 prefixes, and 3 of E8's before its first
+            # vector whose residual H reaches
+            (_E8_H, (0,) * 10, 48, (-2,) * 6 + (2, 2, -2, -2), 8),
             # target 8200 lies in the coset, 8 * 1025, but sum u_i^2 = 1025
-            # exceeds 4 * 16^2 = 1024, so no box up to 32 holds a hit: a
-            # whole-box sweep walks 41,733
-            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 8200, None, 100),
-            # CP2 # 7 CP2bar: a whole-box sweep walks 1,622
+            # exceeds 4 * 16^2 = 1024, so no box up to 32 holds a hit; each of
+            # the boxes 0, 2, 4, 8, 16 and 32 walks block 0 and the one table
+            # its three equal later blocks share, where a whole-box sweep walks
+            # 41,733
+            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 8200, None, 12),
+            # CP2 # 7 CP2bar: boxes 1 and 4 each walk <1> and the one table of
+            # the seven <-1> blocks, where a whole-box sweep walks 1,622
             (
                 [[(1 if i == 0 else -1) if i == j else 0 for j in range(8)] for i in range(8)],
                 (1,) * 8,
                 2,
                 (-3,) + (-1,) * 7,
-                100,
+                4,
             ),
             # target 8 lies in the coset, but a^2 - b^2 = 2 has no solution:
-            # every budgeted sweep exhausts its box, 68 prefixes in all, so
-            # no block table is built
-            ([[1, 0], [0, -1]], (0, 0), 8, None, 68),
-            # one block: every box is one sweep that is never cut short, so no
-            # table walks it again; diag(1) walks boxes 1, 4 and 8
+            # each of six boxes walks <1> and the table of <-1>
+            ([[1, 0], [0, -1]], (0, 0), 8, None, 12),
+            # one block: every box is one whole-box sweep and no table walks
+            # it again; diag(1) walks boxes 1, 4 and 8
             ([[1]], (1,), 25, (-5,), 3),
             (_CHAIN_2224, (1,) * 4, 40, (-1, -3, -1, -1), 26),
+            # E8 + chain(2,2,2,4) + H with no residue: E8's walk stops at its
+            # first vector whose residual the later blocks reach, 81,575
+            # prefixes with their tables, where a whole-box sweep walks
+            # 2,175,900
+            (
+                block_sum(E8_ROWS, _CHAIN_2224, H_ROWS),
+                (0,) * 14,
+                -40,
+                (-6,) * 5 + (-4, -2, -4) + (0,) * 4 + (-6, 6),
+                82_000,
+            ),
+            # the cost of that walk: H + E8 builds E8's table, 2,190 prefixes,
+            # though a whole-box sweep hits after 4
+            (block_sum(H_ROWS, E8_ROWS), (0,) * 10, 48, (-2,) * 8 + (2, 2), 2_190),
         ],
-        ids=["E8+H", "diag(2,2,2,2)", "CP2#7CP2bar", "diag(1,-1)", "diag(1)", "chain-2,2,2,4"],
+        ids=[
+            "E8+H", "diag(2,2,2,2)", "CP2#7CP2bar", "diag(1,-1)", "diag(1)", "chain-2,2,2,4",
+            "E8+chain-2,2,2,4+H", "H+E8",
+        ],
     )
     def test_prefixes_walked_on_block_sums(self, monkeypatch, rows, residues, target, witness, most):
         walked = _counting_prefixes(monkeypatch)
@@ -222,6 +243,34 @@ class TestSearchStrategy:
         assert enumerate_witnesses(form, residues, bound, target, layout) == [
             layout.item(h) for h in hits
         ]
+
+    @pytest.mark.parametrize(
+        "rows, residues, target, witness",
+        [
+            (_E8_H, (0,) * 10, 48, (-2,) * 6 + (2, 2, -2, -2)),
+            (
+                block_sum(_NEG_E8, _NEG_E8, H_ROWS, H_ROWS, H_ROWS),
+                (0,) * 22,
+                16,
+                (-2,) * 8 + (0,) * 8 + (-2,) * 6,
+            ),
+            ([[(1 if i == 0 else -1) if i == j else 0 for j in range(8)] for i in range(8)],
+             (1,) * 8, 2, (-3,) + (-1,) * 7),
+            ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 8200, None),
+            (_CHAIN_2224, (1,) * 4, 40, (-1, -3, -1, -1)),
+        ],
+        ids=["E8+H", "K3", "CP2#7CP2bar", "diag(2,2,2,2)", "chain-2,2,2,4"],
+    )
+    def test_search_reads_no_dense_matrix(self, monkeypatch, rows, residues, target, witness):
+        # the search reads block_rows only; a literal stores its matrix on
+        # construction, so the form is built before the view is patched away
+        q = IntersectionForm(IntegerMatrix(rows))
+
+        def dense(_):
+            raise AssertionError("the search read form.matrix")
+
+        monkeypatch.setattr(IntersectionForm, "matrix", property(dense))
+        assert find_minimal_witness(q, residues, 32, target) == witness
 
     def test_agrees_with_sumset_oracle(self):
         rng = random.Random(2024)
@@ -403,12 +452,15 @@ class TestAgainstBruteForce:
     )
     # box 4 hits first, then shell 3 holds the minimal witness (0, 0, -3)
     @example(([[2, 0, 0], [0, 1, 0], [0, 0, 2]], [0, 0, 1], 8, 18))
-    # E8 + H: the whole-box sweep hits early, so it settles the box
+    # E8 + H: E8's walk meets a vector whose residual H's table holds early
     @example((_E8_H, [0] * 10, 2, 8))
     @example((_E8_H, [0] * 10, 2, 48))
+    # H + E8: H's walk runs against E8's table, built over E8's whole box
+    @example((block_sum(H_ROWS, E8_ROWS), [0] * 10, 2, 8))
+    @example((block_sum(H_ROWS, E8_ROWS), [0] * 10, 2, 48))
     # diag(2,2,2,2): target 20 lies outside the coset, so no box is walked;
     # target 520 = 8 * 65 lies in it, no box holds a solution (65 > 4 * 4^2),
-    # and the tables decide the boxes the budgeted sweep cuts short
+    # and every box's walk of block 0 finds no residual the others reach
     @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 20))
     @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, 8, 520))
     # <1> + <-1> + <1>: the equal first and last blocks see different live
