@@ -35,7 +35,7 @@ from typing import Sequence
 from .abelian import Presentation, PresentationError, Row, parse_abelian_group
 from .classification import exclude_complex, exclude_symplectic
 from .families import FamilyId, FamilyParameterError, family_invariants, known_discrepancies
-from .forms import _SPACE, FormError, build_form, read_int, read_ints, read_sparse_ints
+from .forms import _SPACE, FormError, _dense, build_form, read_int, read_ints, read_sparse_ints
 from .obstruction import (
     DEFAULT_BOUND,
     ChernEnumeration,
@@ -218,13 +218,8 @@ def format_manifold_file(m: ManifoldInvariants) -> str:
         lines.append("names = " + ",".join(p.names))
         lines.extend("word = " + word for word in p.word_texts())
     elif p is not None:
-        gens = p.generators
-        lines.append(f"gens = {gens}")
-        for row in p.rows:  # written from the nonzero entries
-            cells = ["0"] * gens
-            for j, x in row:
-                cells[j] = str(x)
-            lines.append("rel = " + ",".join(cells))
+        lines.append(f"gens = {p.generators}")
+        lines.extend("rel = " + ",".join(map(str, _dense(p.generators, row))) for row in p.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -317,10 +312,6 @@ def _json_text(x, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _emit_json(document: dict) -> None:
-    print(_json_text(document))
-
-
 # the text listing's layout: f"  {w}" of each ChernWitness w
 _TEXT_LAYOUT = Layout("  (", ", ", ")")
 
@@ -360,7 +351,7 @@ def _write_items(head: str, items: Sequence[str], sep: str, end: str) -> None:
 
 
 def _emit_enumeration_json(header: dict, items: Sequence[str]) -> None:
-    """_emit_json of header plus a last "witnesses" key, byte for byte.
+    """What print(_json_text(...)) writes of header plus a last "witnesses" key, byte for byte.
 
     items are the witnesses' texts in _json_layout, as _json_text writes
     each one inside the list.
@@ -403,32 +394,25 @@ def _verdict_lines(label: str, v: StructureVerdict) -> list[str]:
     return lines
 
 
-def _analysis(m: ManifoldInvariants, bound: int, assume_pi1_distinct: bool):
-    # looked up on cli, not their home modules, so perfbench's tracer sees them
-    return (
-        is_spin(m),
-        decide_almost_complex(m, bound=bound),
-        exclude_symplectic(m, assume_pi1_distinct),
-        exclude_complex(m, assume_pi1_distinct),
-        known_discrepancies(m),
-    )
-
-
 def _cmd_analyze(args) -> int:
     m = _load_manifold(args)
     bound = _resolve_bound(args)
-    spin, ac, sym, cpx, notes = _analysis(m, bound, args.assume_pi1_distinct)
+    # the engines are looked up on cli, not their home modules, so
+    # perfbench's tracer, which wraps cli's names, sees them
+    spin = is_spin(m)
+    ac = decide_almost_complex(m, bound=bound)
+    sym = exclude_symplectic(m, args.assume_pi1_distinct)
+    cpx = exclude_complex(m, args.assume_pi1_distinct)
+    notes = known_discrepancies(m)
     if args.json:
-        _emit_json(
-            {
-                "manifold": _manifold_dict(m),
-                "spin": str(spin),
-                "almost_complex": _verdict_dict(ac),
-                "symplectic": _verdict_dict(sym),
-                "complex": _verdict_dict(cpx),
-                "discrepancies": list(notes),
-            }
-        )
+        print(_json_text({
+            "manifold": _manifold_dict(m),
+            "spin": str(spin),
+            "almost_complex": _verdict_dict(ac),
+            "symplectic": _verdict_dict(sym),
+            "complex": _verdict_dict(cpx),
+            "discrepancies": list(notes),
+        }))
         return EXIT_OK
     lines = _manifold_lines(m)
     lines.append(_kv("spin", spin))
@@ -472,8 +456,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    m = family_invariants(FamilyId.parse(args.family))
-    sys.stdout.write(format_manifold_file(m))
+    sys.stdout.write(format_manifold_file(_load_manifold(args)))
     return EXIT_OK
 
 
@@ -481,13 +464,11 @@ def _cmd_validate(args) -> int:
     m = _load_manifold(args)
     violations = validate_invariants(m)
     if args.json:
-        _emit_json(
-            {
-                "manifold": _manifold_dict(m),
-                "valid": not violations,
-                "violations": violations,
-            }
-        )
+        print(_json_text({
+            "manifold": _manifold_dict(m),
+            "valid": not violations,
+            "violations": violations,
+        }))
     else:
         lines = _manifold_lines(m)
         lines.append(_kv("status", "ok" if not violations else "invalid"))

@@ -8,11 +8,13 @@ size.  A form is stored as its contiguous orthogonal blocks,
 IntersectionForm.block_rows, which every reader of the form reads, each
 distinct block once; the dense matrix is a view, built on first read.
 
-Every integer the grammars take is read by read_int, and every
-comma-separated list by one scan, _scan_ints, whose C-level bytes methods
-find the pieces that are not all zeros, so a row of mostly zeros costs its
-nonzero entries.  read_sparse_ints gives a row's length and nonzero (index,
-value) pairs, read_ints the dense tuple.
+Every integer the grammars take is read by read_int.  A comma-separated
+list is read by the reader of the shape its field stores: read_ints splits
+the short dense vectors, diag entries and w2, and int() reads each piece;
+read_sparse_ints scans the rows that can be wide and mostly zero, rel rows
+and a matrix literal's rows, for the pieces that are not all zeros, so such
+a row costs its nonzero entries.  Both send a text they refuse to read_int
+piece by piece, which writes the message.
 
 Forms can be described in a small text grammar::
 
@@ -419,54 +421,25 @@ def read_int(text: str, field: str, error: type[Exception]) -> int:
         ) from None
 
 
-def _scan_ints(
-    text: str, field: str, error: type[Exception]
-) -> list[int] | tuple[int, tuple[tuple[int, int], ...]]:
+def _per_piece(text: str, field: str, error: type[Exception]) -> list[int]:
+    """read_int of each comma-separated piece, its ASCII whitespace stripped: the error path."""
+    return [read_int(p.strip(_SPACE), field, error) for p in text.split(",")]
+
+
+def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
     """Comma-separated integers under read_int's rule, each with ASCII whitespace around it.
 
-    One pass of C-level bytes methods checks the characters and marks the
-    pieces that are not all zeros.  On a row where more than one byte in 16
-    is marked, int() reads every piece of one split, and the list of values
-    is returned.  On a row of mostly zeros, int() reads just the marked
-    pieces, found by find and count, and (length, nonzero (index, value)
-    pairs) is returned, so the row costs its nonzero entries.  An empty
-    piece, a zero piece longer than int()'s digit limit, or any piece int()
-    refuses sends the whole text to read_int piece by piece, which says
-    what is wrong.
+    For short dense vectors, the diag entries and w2: after the character
+    check, int() reads every piece of one split.  A text with a byte that
+    no integer list holds, or a piece int() refuses, is read by read_int
+    piece by piece, which says what is wrong.
     """
-    marks = text.encode("ascii").translate(_MARK) if text.isascii() else b"x"
-    if b"x" not in marks:  # every byte is one an integer list may hold
+    if text.isascii() and b"x" not in text.encode("ascii").translate(_MARK):
         try:
-            if 16 * marks.count(b"1") > len(marks):
-                # a short or dense row: int() on every piece costs less than
-                # finding the pieces one by one
-                return [0 if p == "0" else int(p) for p in text.split(",")]
-            limit = sys.get_int_max_str_digits()
-            if not (
-                not marks
-                or marks.startswith(b",")
-                or marks.endswith(b",")
-                or b",," in marks  # an empty piece
-                or limit and len(marks) > limit and b"0" * (limit + 1) in marks
-            ):
-                pairs = []
-                index = piece = 0
-                at = marks.find(b"1")
-                while at >= 0:
-                    start = marks.rfind(b",", 0, at) + 1
-                    end = marks.find(b",", at)
-                    if end < 0:
-                        end = len(marks)
-                    index += marks.count(b",", piece, start)
-                    piece = start
-                    value = int(text[start:end])
-                    if value:
-                        pairs.append((index, value))
-                    at = marks.find(b"1", end)
-                return marks.count(b",") + 1, tuple(pairs)
+            return tuple(map(int, text.split(",")))
         except ValueError:
             pass  # some piece is not an integer or is too long
-    return [read_int(p.strip(_SPACE), field, error) for p in text.split(",")]
+    return tuple(_per_piece(text, field, error))
 
 
 def _nonzeros(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -485,15 +458,46 @@ def _dense(length: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 def read_sparse_ints(
     text: str, field: str, error: type[Exception]
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(length, nonzero (index, value) pairs) of comma-separated integers (_scan_ints)."""
-    got = _scan_ints(text, field, error)
-    return (len(got), _nonzeros(got)) if isinstance(got, list) else got
+    """(length, nonzero (index, value) pairs) of comma-separated integers, under read_ints' rule.
 
-
-def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
-    """Comma-separated integers (_scan_ints), as one dense tuple."""
-    got = _scan_ints(text, field, error)
-    return tuple(got) if isinstance(got, list) else _dense(*got)
+    For rows that can be wide and mostly zero, the rel rows and a matrix
+    literal's rows.  The marked bytes (_MARK) of the pieces that are not
+    all zeros are found by find and count, and int() reads just those
+    pieces, so a row costs its nonzero entries, not its width.  An empty
+    piece, a zero piece longer than int()'s digit limit, a byte that no
+    integer list holds, or any piece int() refuses sends the whole text to
+    read_int piece by piece, which says what is wrong.
+    """
+    marks = text.encode("ascii").translate(_MARK) if text.isascii() else b"x"
+    limit = sys.get_int_max_str_digits()
+    if not (
+        not marks
+        or b"x" in marks
+        or marks.startswith(b",")
+        or marks.endswith(b",")
+        or b",," in marks  # an empty piece
+        or limit and len(marks) > limit and b"0" * (limit + 1) in marks
+    ):
+        pairs = []
+        index = piece = 0
+        at = marks.find(b"1")
+        try:
+            while at >= 0:
+                start = marks.rfind(b",", 0, at) + 1
+                end = marks.find(b",", at)
+                if end < 0:
+                    end = len(marks)
+                index += marks.count(b",", piece, start)
+                piece = start
+                value = int(text[start:end])
+                if value:
+                    pairs.append((index, value))
+                at = marks.find(b"1", end)
+            return marks.count(b",") + 1, tuple(pairs)
+        except ValueError:
+            pass  # some piece is not an integer or is too long
+    values = _per_piece(text, field, error)
+    return len(values), _nonzeros(values)
 
 
 # whitespace next to a bracket or a comma; a replacement with no group
@@ -514,7 +518,7 @@ def _parse_matrix_literal(text: str) -> list[tuple[int, ...]]:
     for chunk in body.split("],["):
         if not chunk:
             raise FormParseError("matrix rows must be nonempty")
-        rows.append(read_ints(chunk, "matrix entry", FormParseError))
+        rows.append(_dense(*read_sparse_ints(chunk, "matrix entry", FormParseError)))
     return rows
 
 
@@ -547,7 +551,7 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _MATRIX_RE.match(text)
     if match:
-        rows = _parse_matrix_literal(match.group(1))  # read_ints' rows hold ints
+        rows = _parse_matrix_literal(match.group(1))  # rows of ints, read by read_sparse_ints
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise FormError("matrix rows must all have the same length")

@@ -1,64 +1,28 @@
 """Witness search strategy over the one lattice walk in fourfold._pure.
 
-The existence search deepens: it decides boxes of max-norm 0, 1, 2, 4, ...
-up to the bound and stops at the first box that holds a solution, so a
-small witness is found without deciding the whole box.  The boxes between
-the last empty one and the hit's max-norm are then decided in order, each
-for its first solution.
+A map of the module:
 
-Both the search and the listing read the form as its contiguous orthogonal
-blocks, IntersectionForm.block_rows; on a direct sum q(h) is the sum of the
-blocks' squares.  A walk of each distinct block's parity box gives its
-table, which maps each value the block takes to its lex-first vector of that
-value, and the suffix sumsets reach[b] hold the values the blocks after b
-reach together.
+- find_minimal_witness: the lex-first solution of minimal max-norm, found
+  by deepening the box up to the bound;
+- enumerate_witnesses: every solution in the box, in lex order, as tuples
+  or, given a Layout, as texts;
+- _settled: the coset rule and the sign rule, which answer both with no walk;
+- _block_search: how the search decides one box, block by block;
+- _block_listing: how the listing lists the box of two or more blocks;
+- _walk, _tables and _pieces: a block's parity box in lex order, each
+  block's table of values, and a listed block vector's piece of an item.
 
-Before either, two exact rules answer at once, with no walk (_settled).
-The coset rule: every candidate is h = w + 2x, w the residues, so
-
-    q(h) = q(w) + 4(B(w, x) + q(x)),
-    B(w, x) + q(x) = sum_i ((Qw)_i + Q_ii) x_i  (mod 2),
-
-and q(h) = q(w) mod 4, or mod 8 when w is characteristic ((Qw)_i = Q_ii
-mod 2 for every i); a target outside that coset has no solution in any
-box.  The sign rule: on a definite form a target of the wrong sign has no
-solution, and target 0 only h = 0.
-
-The search decides a box as the listing lists one.  A form of one block is
-swept whole for its first hit, which solves the last coordinate, and no
-table is built.  A sum of two or more blocks builds the tables of the
-blocks after the first, walks the first block in lex order, and stops at
-its first vector whose residual the other blocks reach together; each later
-block then takes its lex-smallest vector whose residual the blocks after it
-still reach.  The listing sweeps a form of one block whole, by one all_hits
-sweep.  On two or more blocks it keeps, per block, only the values some
-live residual can use, those that leave a remainder the blocks after it
-still reach.  Equal blocks keep the same values, so a second walk per
-distinct block lists its vectors of those values.  A bottom-up join then
-builds, block by block from the last, the lex-ordered suffix lists of each
-live residual, and the first block's list for the target is the answer.
-
-Given a Layout, the listing gives each witness's text instead of its
-coefficient tuple.  The listing walk then yields each kept block vector's
-coefficient text, built prefix by prefix, so each distinct block's vectors
-are rendered once, in the walk that lists them.  Each block position wraps
-that text in the layout's open, sep or close, and the join concatenates
-those pieces as it concatenates tuples.  The one-block and settled
-listings, like obstruction's divisor listing, render each whole vector with
-Layout.item.
-
-Everything reads _pure.prefixes, which keeps each prefix's square and its
-cross term with the last coordinate as running values: the one-block sweeps
-solve the last coordinate in closed form, the block walks evaluate it value
-by value.  All of it is arbitrary-precision, so every form and bound is
-searched exactly.  Neither the search nor the listing reads the dense
-form.matrix.  _pure.prefixes and the one-block sweeps (_pure.hits and
-_pure.all_hits) are looked up on the _pure module at call time, so a
-tracer that wraps those attributes sees them.
+Both read the form as its contiguous orthogonal blocks,
+IntersectionForm.block_rows, never the dense form.matrix.  All of it is
+arbitrary-precision, so every form and bound is searched exactly.
+_pure.prefixes and the one-block sweeps (_pure.hits and _pure.all_hits) are
+looked up on the _pure module at call time, so a tracer that wraps those
+attributes sees them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
@@ -74,10 +38,6 @@ def compiled_available() -> bool:
 def backend_name() -> str:
     """Name of the sweep backend, for reports."""
     return "pure"
-
-
-def _flatten(rows: Sequence[Sequence[int]]) -> list[int]:
-    return [x for row in rows for x in row]
 
 
 def find_minimal_witness(
@@ -100,25 +60,13 @@ def find_minimal_witness(
     the answer: it is the lexicographically first of all box solutions, so
     also of those on its own shell.
 
-    Each box of a form of rank 1 or more is decided block by block
-    (_block_search): a form of one block is swept whole for its first hit,
-    and a sum of two or more walks its first block in lex order against the
-    other blocks' tables, which then give the rest of the box's
-    lexicographically first solution.  Boxes that hold the same vectors are
-    decided once.
-
-    Two exact rules answer before any box (_settled).  The coset rule:
-    h = w + 2x for w the residues, so q(h) = q(w) + 4(B(w, x) + q(x)), and
-    B(w, x) + q(x) = sum_i ((Qw)_i + Q_ii) x_i (mod 2).  So q(h) = q(w) mod
-    4, and mod 8 when w is characteristic; a target outside that coset
-    answers None without a sweep, as diag(2,2,2,2) with residues 0 and
-    target 20 does.  The sign rule: on a definite form a target of the
-    wrong sign has no solution in any box, and target 0 has only h = 0, a
-    solution iff every residue is 0.  So positive definite E8 with target
-    -8 answers None without a sweep, and the form of rank 0, which takes
-    only 0, answers every target.  The residues are trusted: the
-    obstruction layer's w2 rule checks them.  A negative bound would never
-    end the deepening, so it is refused.
+    Each box is decided by _block_search, and boxes that hold the same
+    vectors are decided once.  A target that the coset rule or the sign
+    rule settles (_settled) is answered before any box: diag(2,2,2,2) with
+    residues 0 and target 20, or positive definite E8 with target -8,
+    answers None, and the form of rank 0 answers every target.  The
+    residues are trusted: the obstruction layer's w2 rule checks them.  A
+    negative bound would never end the deepening, so it is refused.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
@@ -203,7 +151,7 @@ def _blocks(form: IntersectionForm, residues: Sequence[int]) -> list[Block]:
     """(flattened rows, residues, rank) of each of form.block_rows; equal blocks compare equal."""
     residues = tuple(residues)
     return [
-        (tuple(_flatten(rows)), residues[a:b], b - a)
+        (tuple(chain.from_iterable(rows)), residues[a:b], b - a)
         for rows, (a, b) in zip(form.block_rows, form.blocks)
     ]
 
@@ -399,15 +347,12 @@ def enumerate_witnesses(
     """All solutions in the box, in lexicographic order.
 
     Each solution is its coefficient tuple, or with a layout its text in
-    that layout.  A form of two or more blocks is listed block by block
-    (see _block_listing).  A form of one block is listed by one all_hits
-    sweep of block_rows[0], which solves the last coordinate; its table
-    would evaluate every point of the box.  Neither reads form.matrix.  A
-    target that the coset rule or the sign rule settles (_settled) is
-    answered without either, as in find_minimal_witness:
-    q(h) = q(w) + 4(B(w, x) + q(x)) for h = w + 2x, so a target outside
-    q(w)'s class mod 4, or mod 8 for a characteristic w, lists nothing.
-    The residues are trusted, as there.
+    that layout.  A target that the coset rule or the sign rule settles
+    (_settled) is answered with no walk.  A form of two or more blocks is
+    listed by _block_listing.  A form of one block is listed by one
+    _pure.all_hits sweep, which solves the last coordinate; its table would
+    evaluate every point of the box.  The residues are trusted, as in
+    find_minimal_witness, and a negative bound is refused.
     """
     if bound < 0:
         raise ValueError("search bound must be nonnegative")
@@ -415,6 +360,5 @@ def enumerate_witnesses(
     if hits is None:
         if len(form.block_rows) >= 2:
             return _block_listing(_blocks(form, residues), bound, target, layout)
-        qflat = _flatten(form.block_rows[0])
-        hits = _pure.all_hits(qflat, list(residues), form.rank, bound, target)
+        hits = _pure.all_hits(*_blocks(form, residues)[0], bound, target)
     return hits if layout is None else list(map(layout.item, hits))

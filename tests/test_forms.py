@@ -87,6 +87,15 @@ class TestGrammar:
 
     def test_matrix_literal(self):
         assert build_form("matrix [[0,1],[1,0]]") == build_form("H")
+        # CP2 # 40 CP2bar written as a literal: 41 rows, each 41 wide with
+        # one nonzero entry, the shape a matrix row is read in
+        entries = [1] + [-1] * 40
+        rows = [",".join(str(d) if j == i else "0" for j in range(41))
+                for i, d in enumerate(entries)]
+        wide = build_form("matrix [[" + "],[".join(rows) + "]]")
+        diagonal = build_form("diag(" + ",".join(map(str, entries)) + ")")
+        assert wide == diagonal
+        assert wide.matrix == diagonal.matrix
 
     def test_whitespace_and_signs(self):
         assert build_form("  2H ") == build_form("2H")
