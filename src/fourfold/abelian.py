@@ -135,16 +135,13 @@ class Presentation:
     def _read(cls, generators: int, rows: Sequence[tuple[int, Row]]) -> "Presentation":
         """A presentation on rows read as (length, nonzero pairs), as read_sparse_ints gives them.
 
-        The pairs are trusted; the generator count and the lengths are checked
-        as the constructor checks them.
+        The pairs are trusted; the constructor checks the generator count, and
+        the lengths are checked as it checks them.
         """
-        if generators < 0:
-            raise PresentationError("generator count must be nonnegative")
+        p = cls(generators)
         for length, row in rows:
             if length != generators:
                 raise _length_error(generators, _dense(length, row))
-        p = cls.__new__(cls)
-        object.__setattr__(p, "generators", generators)
         object.__setattr__(p, "rows", tuple(row for _, row in rows))
         return p
 
@@ -197,8 +194,7 @@ class Presentation:
                 rows.append(tuple(sorted(sums.items())))
         except (KeyError, ValueError):
             raise _word_error(index, words) from None
-        p = cls.__new__(cls)
-        object.__setattr__(p, "generators", n)
+        p = cls(n)
         object.__setattr__(p, "rows", tuple(rows))
         object.__setattr__(p, "names", names)
         object.__setattr__(p, "words", tuple(syllables))

@@ -566,7 +566,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -4,9 +4,9 @@ Everything here is arbitrary-precision: matrices hold Python ints, and a
 form's determinant and signature come together from one fraction-free
 Bareiss pass with symmetric pivoting per orthogonal component.  No float or
 rational ever appears, so no overflow or rounding can occur at any input
-size.  A form is stored as its contiguous orthogonal blocks,
+size.  A form holds only its contiguous orthogonal blocks,
 IntersectionForm.block_rows, which every reader of the form reads, each
-distinct block once; the dense matrix is a view, built on first read.
+distinct block once; every form builds its dense view of them on first read.
 
 Every integer the grammars take is read by read_int.  A comma-separated
 list is read by the reader of the shape its field stores: read_ints splits
@@ -14,7 +14,7 @@ the short dense vectors, diag entries and w2, and int() reads each piece;
 read_sparse_ints scans the rows that can be wide and mostly zero, rel rows
 and a matrix literal's rows, for the pieces that are not all zeros, so such
 a row costs its nonzero entries.  Both send a text they refuse to read_int
-piece by piece, which writes the message.
+piece by piece (_refuse), which writes the message.
 
 Forms can be described in a small text grammar::
 
@@ -35,7 +35,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 
 class FormError(ValueError):
@@ -187,8 +187,8 @@ class IntersectionForm:
     blocks.  hyperbolic(k) stores H k times, diagonal a 1x1 block per entry,
     and a matrix literal is split once, its components' index spans merged
     where they overlap.  Parity, signature, determinant and the residue are
-    read from the distinct blocks, lazily and exactly.  matrix is a view: a
-    literal's own matrix, or the blocks' dense sum, built on first read.
+    read from the distinct blocks, lazily and exactly.  A form holds only
+    its blocks: matrix is a view, their dense sum, built on first read.
     """
 
     def __init__(self, matrix: IntegerMatrix):
@@ -203,7 +203,6 @@ class IntersectionForm:
             else:
                 spans.append((component[0], component[-1] + 1))
         self.block_rows = tuple(tuple(row[a:b] for row in rows[a:b]) for a, b in spans)
-        self.matrix = matrix  # the literal is its own view
 
     @classmethod
     def _of_blocks(cls, blocks: tuple[Block, ...]) -> "IntersectionForm":
@@ -421,9 +420,11 @@ def read_int(text: str, field: str, error: type[Exception]) -> int:
         ) from None
 
 
-def _per_piece(text: str, field: str, error: type[Exception]) -> list[int]:
-    """read_int of each comma-separated piece, its ASCII whitespace stripped: the error path."""
-    return [read_int(p.strip(_SPACE), field, error) for p in text.split(",")]
+def _refuse(text: str, field: str, error: type[Exception]) -> NoReturn:
+    """read_int of each comma-separated piece, its ASCII whitespace stripped, until one raises."""
+    for piece in text.split(","):
+        read_int(piece.strip(_SPACE), field, error)
+    raise AssertionError("a reader's fast path refused a text that read_int takes")
 
 
 def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
@@ -439,7 +440,7 @@ def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
             return tuple(map(int, text.split(",")))
         except ValueError:
             pass  # some piece is not an integer or is too long
-    return tuple(_per_piece(text, field, error))
+    _refuse(text, field, error)
 
 
 def _nonzeros(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -496,8 +497,7 @@ def read_sparse_ints(
             return marks.count(b",") + 1, tuple(pairs)
         except ValueError:
             pass  # some piece is not an integer or is too long
-    values = _per_piece(text, field, error)
-    return len(values), _nonzeros(values)
+    _refuse(text, field, error)
 
 
 # whitespace next to a bracket or a comma; a replacement with no group

@@ -15,8 +15,8 @@ A map of the module:
 Both read the form as its contiguous orthogonal blocks,
 IntersectionForm.block_rows, never the dense form.matrix.  All of it is
 arbitrary-precision, so every form and bound is searched exactly.
-_pure.prefixes and the one-block sweeps (_pure.hits and _pure.all_hits) are
-looked up on the _pure module at call time, so a tracer that wraps those
+_pure.prefixes and the one-block sweeps, _pure.first_hit and _pure.all_hits,
+are looked up on the _pure module at call time, so a tracer that wraps those
 attributes sees them.
 """
 
@@ -244,7 +244,7 @@ def _block_search(
         if has_odd and not box:  # box 0 holds no odd coordinate
             return None
         if len(blocks) == 1:
-            return next(_pure.hits(*blocks[0], box, target), None)
+            return _pure.first_hit(*blocks[0], box, target)
         tables, reach = _tables(blocks[1:], box)
         after = {v + s for v in tables[0] for s in reach[0]}
         for found, v in _walk(*blocks[0], box, ()):

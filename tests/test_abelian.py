@@ -428,6 +428,10 @@ class TestWords:
 
 
 class TestPresentationText:
+    def test_presentation_validates_generator_count(self):
+        with pytest.raises(PresentationError, match="^generator count must be nonnegative$"):
+            Presentation(-1)
+
     def test_presentation_validates_relation_length(self):
         with pytest.raises(PresentationError):
             Presentation(2, ((1, 2, 3),))

@@ -87,6 +87,10 @@ class TestSurfaceModel:
         with pytest.raises(ValueError):
             SurfaceModel(SurfaceKind.RATIONAL_S2XS2, blowups=1)
 
+    def test_ruled_genus_is_nonnegative(self):
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            SurfaceModel(SurfaceKind.RULED, genus=-1)
+
 
 def _rational_ruled(b1, chi, tau):
     """The table's rational and ruled rows with no blow-ups: the minimal models."""

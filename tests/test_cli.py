@@ -89,11 +89,12 @@ _WORD_ERRORS = [
         f"names = a\nword = a^{_LONG}\n",
         f"word exponent is too long: 5001 digits, at most {sys.get_int_max_str_digits()} are read",
     ),
+    ("gens = -1\n", "generator count must be nonnegative"),
 ]
 _WORD_ERROR_IDS = [
     "unknown-generator", "empty-exponent", "double-caret", "digit-first", "duplicate-names",
     "bad-name", "word-without-names", "names-with-gens", "names-with-rel", "x1c-in-word",
-    "long-exponent",
+    "long-exponent", "negative-gens",
 ]
 
 # the family specs of the benchmark corpus

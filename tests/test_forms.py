@@ -114,7 +114,9 @@ class TestGrammar:
          pytest.param("2\u3000H", id="ideographic-space-hyperbolic"),
          pytest.param("matrix [[1,\u00a00],[0,1]]", id="no-break-space-matrix"),
          pytest.param("matrix [[1 2]]", id="space-inside-entry"),
-         pytest.param("matrix [[1,- 1],[-1,1]]", id="space-after-sign")],
+         pytest.param("matrix [[1,- 1],[-1,1]]", id="space-after-sign"),
+         pytest.param("matrix [[]]", id="empty-row"),
+         pytest.param(3, id="not-a-string")],
     )
     def test_rejects(self, bad):
         with pytest.raises(FormParseError):
@@ -495,6 +497,16 @@ class TestBlocks:
         # {0, 2} and {1} are components, but {0, 2} spans index 1
         assert build_form("matrix [[1,0,1],[0,1,0],[1,0,2]]").blocks == ((0, 3),)
 
+    def test_literal_holds_only_its_blocks(self):
+        # the dense view of a literal is built from its blocks when first read
+        rows = ((1, 0, 1, 0), (0, 1, 0, 0), (1, 0, 2, 0), (0, 0, 0, -1))
+        literal = "matrix [" + ",".join(str(list(row)) for row in rows) + "]"
+        for form in (build_form(literal), IntersectionForm(IntegerMatrix(rows))):
+            assert "matrix" not in vars(form)
+            assert form.block_rows == (tuple(row[:3] for row in rows[:3]), ((-1,),))
+            assert form.matrix.entries() == rows
+            assert "matrix" in vars(form)
+
 
 # H, <1>, <-1>, <2>, <0>, E8, an odd rank-2 block and a degenerate one
 _SUMMANDS = [H_ROWS, [[1]], [[-1]], [[2]], [[0]], E8_ROWS, [[1, 1], [1, 0]], [[1, 1], [1, 1]]]
@@ -564,6 +576,18 @@ class TestBlockStorage:
     def test_diagonal_rejects_non_integer_and_empty_entries(self, entries):
         with pytest.raises(FormError):
             IntersectionForm.diagonal(entries)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: IntersectionForm(IntegerMatrix([[1, 0]])), "an intersection form must be square"),
+            (lambda: IntersectionForm.hyperbolic(0), "hyperbolic sum needs k >= 1"),
+        ],
+        ids=["not-square", "no-planes"],
+    )
+    def test_constructors_refuse(self, build, message):
+        with pytest.raises(FormError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_large_hyperbolic_metadata_stays_small(self, time_limit):
         # the blocks are 2000 references to one H: no 4000 x 4000 matrix is built

@@ -19,7 +19,6 @@ SRC = Path(fourfold.__file__).resolve().parent
 
 # qualified name (module.name or module.Class.method) -> why nothing in src names it
 ALLOWED_UNNAMED = {
-    "_pure.first_hit": "perfbench's tracer wraps it; drop with ROADMAP item 1",
     "_pure.first_hit_on_shell": "perfbench's tracer wraps it; drop with ROADMAP item 1",
     "search.compiled_available": "perfbench records the backend; drop with ROADMAP item 1",
     "search.backend_name": "perfbench records the backend; drop with ROADMAP item 1",

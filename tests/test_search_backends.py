@@ -262,8 +262,8 @@ class TestSearchStrategy:
         ids=["E8+H", "K3", "CP2#7CP2bar", "diag(2,2,2,2)", "chain-2,2,2,4"],
     )
     def test_search_reads_no_dense_matrix(self, monkeypatch, rows, residues, target, witness):
-        # the search reads block_rows only; a literal stores its matrix on
-        # construction, so the form is built before the view is patched away
+        # the search reads block_rows only, so the dense view, patched away
+        # here, is never built
         q = IntersectionForm(IntegerMatrix(rows))
 
         def dense(_):
