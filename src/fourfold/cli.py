@@ -145,23 +145,20 @@ def parse_manifold_file(text: str) -> ManifoldInvariants:
         w2 = read_ints(values["w2"], "w2 entry", ManifoldFileError)
 
     presentation = None
-    if "gens" in values or relations:
-        if "gens" not in values:
-            raise ManifoldFileError("rel lines need a gens line")
-        try:
+    try:
+        if "gens" in values or relations:
+            if "gens" not in values:
+                raise ManifoldFileError("rel lines need a gens line")
             presentation = Presentation._read(as_int("gens"), relations)
-        except PresentationError as exc:
-            raise ManifoldFileError(str(exc)) from None
-    elif "names" in values or words:
-        if "names" not in values:
-            raise ManifoldFileError("word lines need a names line")
-        names = values["names"]
-        try:
+        elif "names" in values or words:
+            if "names" not in values:
+                raise ManifoldFileError("word lines need a names line")
+            names = values["names"]
             presentation = Presentation.from_words(
                 [name.strip(_SPACE) for name in names.split(",")] if names else (), words
             )
-        except PresentationError as exc:
-            raise ManifoldFileError(str(exc)) from None
+    except PresentationError as exc:
+        raise ManifoldFileError(str(exc)) from None
 
     return ManifoldInvariants(
         name=values["name"],

@@ -90,17 +90,12 @@ class IntegerMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    @property
-    def is_symmetric(self) -> bool:
-        if self._rows != self._cols:
-            return False
-        return tuple(zip(*self._data)) == self._data
-
     def determinant(self) -> int:
         """Exact determinant of a symmetric matrix, by its form's one Bareiss pass."""
-        if not self.is_symmetric:
-            raise FormError("determinant needs a symmetric matrix")
-        return IntersectionForm(self).determinant
+        try:
+            return IntersectionForm(self).determinant
+        except FormError:  # the form refuses a matrix that is not square and symmetric
+            raise FormError("determinant needs a symmetric matrix") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -161,7 +156,9 @@ _H: Block = ((0, 1), (1, 0))
 
 def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Index sets of the connected components of the off-diagonal graph of
-    the square rows, each ascending, ordered by their smallest index."""
+    the square rows, each ascending, ordered by their smallest index.  The
+    walk visits every row and checks each nonzero entry against its mirror,
+    so rows that are not symmetric raise FormError."""
     columns = range(len(rows))
     seen: set[int] = set()
     components = []
@@ -172,6 +169,8 @@ def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         component = [start]
         for i in component:  # component grows while it is walked
             for j in compress(columns, rows[i]):  # the row's nonzero columns
+                if rows[j][i] != rows[i][j]:
+                    raise FormError("an intersection form must be symmetric")
                 if j not in seen:
                     seen.add(j)
                     component.append(j)
@@ -186,16 +185,15 @@ class IntersectionForm:
     into smaller contiguous orthogonal ones, so equal forms have equal
     blocks.  hyperbolic(k) stores H k times, diagonal a 1x1 block per entry,
     and a matrix literal is split once, its components' index spans merged
-    where they overlap.  Parity, signature, determinant and the residue are
-    read from the distinct blocks, lazily and exactly.  A form holds only
-    its blocks: matrix is a view, their dense sum, built on first read.
+    where they overlap; the split's walk (_components) checks its symmetry.
+    Parity, signature, determinant and the residue are read from the
+    distinct blocks, lazily and exactly.  A form holds only its blocks:
+    matrix is a view, their dense sum, built on first read.
     """
 
     def __init__(self, matrix: IntegerMatrix):
         if matrix.rows != matrix.cols:
             raise FormError("an intersection form must be square")
-        if not matrix.is_symmetric:
-            raise FormError("an intersection form must be symmetric")
         rows, spans = matrix.entries(), []
         for component in _components(rows):  # spans merged where they overlap
             if spans and component[0] < spans[-1][1]:

@@ -83,8 +83,7 @@ class ChernWitness:
 
     @classmethod
     def on_form(cls, form: IntersectionForm, coefficients: Sequence[int]) -> "ChernWitness":
-        coeffs = tuple(coefficients)
-        return cls(coeffs, form.evaluate(coeffs))
+        return cls(coefficients, form.evaluate(coefficients))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coefficients) + ")"

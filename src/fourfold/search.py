@@ -227,22 +227,20 @@ def _block_search(
     order is block 0's order first, and that is the lex-first solution.
     """
     blocks = _blocks(form, residues)
-    # boxes that hold the same vectors have the same first solution: box 2
-    # holds just box 1's when every residue is odd, and box 1 just box 0's
-    # when every residue is even
-    has_even, has_odd = 0 in residues, 1 in residues
-    seen: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    # box m adds only values of m's parity: when no residue has that parity
+    # it holds just box m - 1's vectors, and box 0 holds none when a residue
+    # is odd; each other box is decided once
+    parities = set(residues)
+    seen: dict[int, tuple[int, ...] | None] = {}
 
     def first(box: int) -> tuple[int, ...] | None:
-        evens, odds = box // 2 * 2 + 1, (box + 1) // 2 * 2
-        key = (evens * has_even, odds * has_odd)
-        if key not in seen:
-            seen[key] = decide(box)
-        return seen[key]
+        if box % 2 not in parities or (not box and 1 in parities):
+            return first(box - 1) if box else None
+        if box not in seen:
+            seen[box] = decide(box)
+        return seen[box]
 
     def decide(box: int) -> tuple[int, ...] | None:
-        if has_odd and not box:  # box 0 holds no odd coordinate
-            return None
         if len(blocks) == 1:
             return _pure.first_hit(*blocks[0], box, target)
         tables, reach = _tables(blocks[1:], box)

@@ -122,7 +122,12 @@ class TestGrammar:
         with pytest.raises(FormParseError):
             build_form(bad)
 
-    @pytest.mark.parametrize("bad", ["matrix [[0,1],[2,0]]", "matrix [[1,2],[3]]"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["matrix [[0,1],[2,0]]", "matrix [[1,2],[3]]",
+         # an entry whose mirror is 0, alone and in a later component
+         "matrix [[0,0],[1,0]]", "matrix [[1,0,0],[0,1,0],[0,2,1]]"],
+    )
     def test_rejects_bad_matrices(self, bad):
         with pytest.raises(FormError):
             build_form(bad)
@@ -453,7 +458,10 @@ class TestDeterminant:
         assert m.determinant() == a * a - 1
 
     def test_needs_a_symmetric_matrix(self):
-        for rows in ([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]], [[0, 1], [-1, 0]]):
+        for rows in (
+            [[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]], [[0, 1], [-1, 0]],
+            [[0, 0], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 2, 1]],
+        ):
             with pytest.raises(FormError, match="^determinant needs a symmetric matrix$"):
                 IntegerMatrix(rows).determinant()
 
@@ -582,8 +590,16 @@ class TestBlockStorage:
         [
             (lambda: IntersectionForm(IntegerMatrix([[1, 0]])), "an intersection form must be square"),
             (lambda: IntersectionForm.hyperbolic(0), "hyperbolic sum needs k >= 1"),
+            (
+                lambda: IntersectionForm(IntegerMatrix([[0, 0], [1, 0]])),
+                "an intersection form must be symmetric",
+            ),
+            (
+                lambda: IntersectionForm(IntegerMatrix([[1, 0, 0], [0, 1, 0], [0, 2, 1]])),
+                "an intersection form must be symmetric",
+            ),
         ],
-        ids=["not-square", "no-planes"],
+        ids=["not-square", "no-planes", "not-symmetric", "not-symmetric-later-component"],
     )
     def test_constructors_refuse(self, build, message):
         with pytest.raises(FormError, match=f"^{re.escape(message)}$"):

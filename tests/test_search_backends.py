@@ -133,6 +133,35 @@ class TestSearchStrategy:
         assert boxes == [0, 2, 4]
 
     @pytest.mark.parametrize(
+        "rows, residues, target, witness, decided",
+        [
+            # every residue odd: box 0 holds no vector, box 2 holds box 1's
+            # and box 4 box 3's, so boxes 1 and 3 are swept
+            ([[1, 1], [1, -1]], (1, 1), 14, (-3, -1), 2),
+            # every residue even: box 1 holds box 0's, so boxes 0 and 2 are swept
+            ([[2, 1], [1, 2]], (0, 0), 8, (-2, 0), 2),
+            # an odd residue: box 0 holds no vector, so box 1 alone is swept
+            ([[2, 1], [1, 3]], (0, 1), 3, (0, -1), 1),
+        ],
+        ids=["odd", "even", "mixed"],
+    )
+    def test_each_vector_set_is_decided_once(
+        self, monkeypatch, rows, residues, target, witness, decided
+    ):
+        # _pure.first_hit wrapped with a counter, as perfbench's tracer wraps it
+        sweeps = [0]
+        first_hit = _pure.first_hit
+
+        def counting(*args):
+            sweeps[0] += 1
+            return first_hit(*args)
+
+        monkeypatch.setattr(_pure, "first_hit", counting)
+        q = IntersectionForm(IntegerMatrix(rows))
+        assert find_minimal_witness(q, residues, 32, target) == witness
+        assert sweeps[0] == decided
+
+    @pytest.mark.parametrize(
         "rows, residues, target, witness, most",
         [
             # a sum walks its first block against the others' tables: box 0
@@ -146,7 +175,7 @@ class TestSearchStrategy:
             # its three equal later blocks share, where a whole-box sweep walks
             # 41,733
             ([[2 if i == j else 0 for j in range(4)] for i in range(4)], (0,) * 4, 8200, None, 12),
-            # CP2 # 7 CP2bar: boxes 1 and 4 each walk <1> and the one table of
+            # CP2 # 7 CP2bar: boxes 1 and 3 each walk <1> and the one table of
             # the seven <-1> blocks, where a whole-box sweep walks 1,622
             (
                 [[(1 if i == 0 else -1) if i == j else 0 for j in range(8)] for i in range(8)],
@@ -159,7 +188,7 @@ class TestSearchStrategy:
             # each of six boxes walks <1> and the table of <-1>
             ([[1, 0], [0, -1]], (0, 0), 8, None, 12),
             # one block: every box is one whole-box sweep and no table walks
-            # it again; diag(1) walks boxes 1, 4 and 8
+            # it again; diag(1) walks boxes 1, 3 and 7
             ([[1]], (1,), 25, (-5,), 3),
             (_CHAIN_2224, (1,) * 4, 40, (-1, -3, -1, -1), 26),
             # E8 + chain(2,2,2,4) + H with no residue: E8's walk stops at its

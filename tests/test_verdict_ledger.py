@@ -3,11 +3,13 @@
 tests/data/verdicts.tsv holds one row per (record, structure): the status
 of decide_almost_complex at bound 32, exclude_symplectic and
 exclude_complex, on the census grid of test_cli, the Kahler surfaces of
-test_ground_truth, the stall records in tests/data and one member of each
-of the paper's families.  Family rows also hold the status under
-assume_pi1_distinct.  tests/data/claims.tsv holds, per family, the paper's
-claim and a mark read off the ledger: reproduced when every status is the
-claim, discrepancy when a decided status contradicts it, open otherwise.
+test_ground_truth, the stall records in tests/data, three records whose
+almost complex status a cited rule settles but the engines leave Unknown
+(BASELINE) and one member of each of the paper's families.  Family rows
+also hold the status under assume_pi1_distinct.  tests/data/claims.tsv
+holds, per family, the paper's claim and a mark read off the ledger:
+reproduced when every status is the claim, discrepancy when a decided
+status contradicts it, open otherwise.
 
 The test recomputes both files and, on a mismatch, names every row that
 moved.  A change that moves a row rewrites the files and lists the moved
@@ -23,11 +25,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from fourfold.abelian import AbelianGroup
 from fourfold.classification import exclude_complex, exclude_symplectic
 from fourfold.cli import parse_manifold_file
 from fourfold.families import FamilyId, family_invariants, known_discrepancies
-from fourfold.obstruction import decide_almost_complex
+from fourfold.forms import IntegerMatrix, IntersectionForm
+from fourfold.obstruction import ManifoldInvariants, decide_almost_complex
 
+from oracles import E8_ROWS
 from test_cli import _census
 from test_ground_truth import SURFACES
 
@@ -48,6 +53,14 @@ FAMILIES = (
 )
 # the paper's claim for every family: almost complex, not symplectic, not complex
 PAPER_CLAIM = ("Exists", "NotExists", "NotExists")
+# (name, form, b1): the two non-unimodular rational-search records, whose
+# even classes miss the target's coset, and positive definite E8 with
+# b1 = 13, whose target -8 has the wrong sign; each validates clean
+BASELINE = (
+    ("diag(2,2,2) b1=1", IntersectionForm.diagonal([2] * 3), 1),
+    ("diag(2,2,2,2) b1=1", IntersectionForm.diagonal([2] * 4), 1),
+    ("E8 b1=13", IntersectionForm(IntegerMatrix(E8_ROWS)), 13),
+)
 
 VERDICTS_HEADER = ("source", "record", "structure", "status", "assuming_pi1_distinct")
 CLAIMS_HEADER = ("family", "record", *STRUCTURES, "mark")
@@ -69,6 +82,10 @@ def _records():
         yield "ground-truth", m.name, m, False
     for path in sorted(DATA.glob("*.man")):
         yield "stall", path.name, parse_manifold_file(path.read_text(encoding="ascii")), False
+    for name, form, b1 in BASELINE:
+        chi = 2 - 2 * b1 + form.rank
+        m = ManifoldInvariants(name, chi, form.signature, form, b1, AbelianGroup(b1))
+        yield "baseline", name, m, False
     for _, spec in FAMILIES:
         yield "family", spec, family_invariants(FamilyId.parse(spec)), True
 
@@ -133,6 +150,30 @@ def test_verdicts_and_claims_match_the_ledger():
     assert not moved, "rows moved:\n" + "\n".join(moved)
     assert VERDICTS.read_text(encoding="utf-8") == _text(VERDICTS_HEADER, verdicts)
     assert CLAIMS.read_text(encoding="utf-8") == _text(CLAIMS_HEADER, claims)
+
+
+def test_baseline_records_validate_clean():
+    for source, name, m, _ in _records():
+        if source == "baseline":
+            assert not m.violations, name
+
+
+def test_verdicts_follow_the_cascade():
+    # almost complex NotExists excludes both structures; invariants never
+    # give symplectic or complex Exists; the assumption only settles Unknowns
+    status, broken = {}, []
+    for _, name, structure, plain, assuming in verdict_rows():
+        status[name, structure] = plain
+        if structure != "almost_complex" and "Exists" in (plain, assuming):
+            broken.append(f"{name} | {structure}: Exists")
+        if assuming == "ConditionallyExcluded" and plain != "Unknown":
+            broken.append(f"{name} | {structure}: assumed ConditionallyExcluded over {plain}")
+    for (name, structure), plain in status.items():
+        if structure == "almost_complex" and plain == "NotExists":
+            others = (status[name, "symplectic"], status[name, "complex"])
+            if others != ("NotExists", "NotExists"):
+                broken.append(f"{name}: almost complex NotExists, then {' '.join(others)}")
+    assert not broken, "\n".join(broken)
 
 
 def test_every_discrepancy_carries_a_note():
