@@ -249,14 +249,14 @@ def _verdict_dict(v: StructureVerdict) -> dict:
     witness = None
     if v.witness is not None:
         witness = {
-            "coefficients": list(v.witness.coefficients),
+            "coefficients": v.witness.coefficients,
             "square": v.witness.square,
         }
     return {
         "status": str(v.status),
         "witness": witness,
-        "reasons": list(v.reasons),
-        "assumptions": list(v.assumptions),
+        "reasons": v.reasons,
+        "assumptions": v.assumptions,
         "search_bound": v.search_bound,
     }
 
@@ -270,7 +270,7 @@ def _manifold_dict(m: ManifoldInvariants) -> dict:
         "b2": m.form.rank,
         "form": m.form.descriptor(),
         "h1": str(m.h1),
-        "w2": list(m.w2) if m.w2 is not None else None,
+        "w2": m.w2,
     }
 
 
@@ -408,7 +408,7 @@ def _cmd_analyze(args) -> int:
             "almost_complex": _verdict_dict(ac),
             "symplectic": _verdict_dict(sym),
             "complex": _verdict_dict(cpx),
-            "discrepancies": list(notes),
+            "discrepancies": notes,
         }))
         return EXIT_OK
     lines = _manifold_lines(m)

@@ -10,11 +10,11 @@ distinct block once; every form builds its dense view of them on first read.
 
 Every integer the grammars take is read by read_int.  A comma-separated
 list is read by the reader of the shape its field stores: read_ints splits
-the short dense vectors, diag entries and w2, and int() reads each piece;
-read_sparse_ints scans the rows that can be wide and mostly zero, rel rows
-and a matrix literal's rows, for the pieces that are not all zeros, so such
-a row costs its nonzero entries.  Both send a text they refuse to read_int
-piece by piece (_refuse), which writes the message.
+the dense vectors, diag entries, w2 and a matrix literal's rows, and int()
+reads each piece; read_sparse_ints scans rel rows, which can be wide and
+mostly zero, for the pieces that are not all zeros, so such a row costs its
+nonzero entries.  Both send a text they refuse to read_int piece by piece
+(_refuse), which writes the message.
 
 Forms can be described in a small text grammar::
 
@@ -428,10 +428,10 @@ def _refuse(text: str, field: str, error: type[Exception]) -> NoReturn:
 def read_ints(text: str, field: str, error: type[Exception]) -> tuple[int, ...]:
     """Comma-separated integers under read_int's rule, each with ASCII whitespace around it.
 
-    For short dense vectors, the diag entries and w2: after the character
-    check, int() reads every piece of one split.  A text with a byte that
-    no integer list holds, or a piece int() refuses, is read by read_int
-    piece by piece, which says what is wrong.
+    For dense vectors, the diag entries, w2 and a matrix literal's rows:
+    after the character check, int() reads every piece of one split.  A text
+    with a byte that no integer list holds, or a piece int() refuses, is read
+    by read_int piece by piece, which says what is wrong.
     """
     if text.isascii() and b"x" not in text.encode("ascii").translate(_MARK):
         try:
@@ -459,13 +459,13 @@ def read_sparse_ints(
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(length, nonzero (index, value) pairs) of comma-separated integers, under read_ints' rule.
 
-    For rows that can be wide and mostly zero, the rel rows and a matrix
-    literal's rows.  The marked bytes (_MARK) of the pieces that are not
-    all zeros are found by find and count, and int() reads just those
-    pieces, so a row costs its nonzero entries, not its width.  An empty
-    piece, a zero piece longer than int()'s digit limit, a byte that no
-    integer list holds, or any piece int() refuses sends the whole text to
-    read_int piece by piece, which says what is wrong.
+    For rel rows, which can be wide and mostly zero.  The marked bytes
+    (_MARK) of the pieces that are not all zeros are found by find and
+    count, and int() reads just those pieces, so a row costs its nonzero
+    entries, not its width.  An empty piece, a zero piece longer than int()'s
+    digit limit, a byte that no integer list holds, or any piece int()
+    refuses sends the whole text to read_int piece by piece, which says what
+    is wrong.
     """
     marks = text.encode("ascii").translate(_MARK) if text.isascii() else b"x"
     limit = sys.get_int_max_str_digits()
@@ -498,25 +498,25 @@ def read_sparse_ints(
     _refuse(text, field, error)
 
 
-# whitespace next to a bracket or a comma; a replacement with no group
-# reference leaves re.sub no template to expand per match
-_MATRIX_SPACE_RE = re.compile(r"\s+(?=[][,])|(?<=[][,])\s+", re.ASCII)
+# a literal's [[ ... ]], ASCII whitespace allowed inside each bracket pair,
+# and its row separator, whose leading literal "]" re scans for fast
+_MATRIX_OUTER_RE = re.compile(r"\s*\[\s*\[(.*)\]\s*\]\s*", re.DOTALL | re.ASCII)
+_MATRIX_ROW_SEP_RE = re.compile(r"\]\s*,\s*\[", re.ASCII)
 
 
 def _parse_matrix_literal(text: str) -> list[tuple[int, ...]]:
-    # whitespace goes only next to brackets and commas, so "1 2" stays one
-    # piece and is rejected as an integer
-    squeezed = _MATRIX_SPACE_RE.sub("", text)
-    if not (squeezed.startswith("[[") and squeezed.endswith("]]")):
-        raise FormParseError(f"malformed matrix literal: {text!r}")
-    body = squeezed[2:-2]
-    if "[" in body.replace("],[", "") or "]" in body.replace("],[", ""):
+    # the rows between the separators, each read in order by read_ints, which
+    # leaves the whitespace around an entry to int() and refuses "1 2"
+    match = _MATRIX_OUTER_RE.fullmatch(text)
+    chunks = _MATRIX_ROW_SEP_RE.split(match.group(1)) if match else ()
+    # the outer pair holds four brackets and each separator two, a row none
+    if not chunks or text.count("[") + text.count("]") != 2 * len(chunks) + 2:
         raise FormParseError(f"malformed matrix literal: {text!r}")
     rows = []
-    for chunk in body.split("],["):
-        if not chunk:
+    for chunk in chunks:
+        if not chunk.strip(_SPACE):
             raise FormParseError("matrix rows must be nonempty")
-        rows.append(_dense(*read_sparse_ints(chunk, "matrix entry", FormParseError)))
+        rows.append(read_ints(chunk, "matrix entry", FormParseError))
     return rows
 
 
@@ -549,7 +549,7 @@ def build_form(spec: str) -> IntersectionForm:
 
     match = _MATRIX_RE.match(text)
     if match:
-        rows = _parse_matrix_literal(match.group(1))  # rows of ints, read by read_sparse_ints
+        rows = _parse_matrix_literal(match.group(1))  # nonempty rows, each read by read_ints
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise FormError("matrix rows must all have the same length")

@@ -117,7 +117,7 @@ class StructureVerdict:
 
     @classmethod
     def exists(cls, witness: ChernWitness, reasons: Sequence[str] = ()) -> "StructureVerdict":
-        return cls(VerdictStatus.EXISTS, witness=witness, reasons=tuple(reasons))
+        return cls(VerdictStatus.EXISTS, witness=witness, reasons=reasons)
 
     @classmethod
     def not_exists(cls, *reasons: str) -> "StructureVerdict":
@@ -128,16 +128,14 @@ class StructureVerdict:
         cls, assumptions: Sequence[str], reasons: Sequence[str] = ()
     ) -> "StructureVerdict":
         return cls(
-            VerdictStatus.CONDITIONALLY_EXCLUDED,
-            reasons=tuple(reasons),
-            assumptions=tuple(assumptions),
+            VerdictStatus.CONDITIONALLY_EXCLUDED, reasons=reasons, assumptions=assumptions
         )
 
     @classmethod
     def unknown(
         cls, reasons: Sequence[str] = (), search_bound: int | None = None
     ) -> "StructureVerdict":
-        return cls(VerdictStatus.UNKNOWN, reasons=tuple(reasons), search_bound=search_bound)
+        return cls(VerdictStatus.UNKNOWN, reasons=reasons, search_bound=search_bound)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def find_minimal_witness(
     settled = _settled(form, residues, target)
     if settled is not None:
         return settled[0] if settled else None
-    first = _block_search(form, list(residues), target)
+    first = _block_search(form, residues, target)
     empty = -1  # largest box known to hold no solution
     box = 0
     while True:
@@ -213,7 +213,7 @@ def _tables(
 
 
 def _block_search(
-    form: IntersectionForm, residues: list[int], target: int
+    form: IntersectionForm, residues: Sequence[int], target: int
 ) -> Callable[[int], tuple[int, ...] | None]:
     """first(box): the lex-first solution in the box, or None; rank 1 or more.
 

@@ -233,6 +233,23 @@ class TestEkFilter:
         got = ek_filter(0, -2, 26)
         assert SurfaceModel(SurfaceKind.K3, blowups=2) in set(got)
 
+    def test_a_rational_model_never_survives_alone(self):
+        # a rational model needs b1 = 0 and (c1^2, c2) = (9 - k, 3 + k) or
+        # (8, 4), where general type also survives with some blow-up count, so
+        # a survivor set is never all rational or ruled and the engines never
+        # write a rational model's pi1 assumption; a change to the table that
+        # breaks this makes that text reachable
+        rational = {SurfaceKind.RATIONAL_CP2, SurfaceKind.RATIONAL_S2XS2}
+        sets = 0
+        for b1 in range(7):
+            for c1sq in range(-40, 21):
+                for c2 in range(-20, 41):
+                    kinds = {model.kind for model in ek_filter(b1, c1sq, c2)}
+                    if kinds & rational:
+                        sets += 1
+                        assert SurfaceKind.GENERAL_TYPE in kinds, (b1, c1sq, c2)
+        assert sets
+
     def test_agrees_with_rational_ruled_on_even_minimal_data(self):
         # even form H, tau = 0: the table offers exactly the ruled surface over
         # Sigma_g, and both engines report it once c1^2 < 0 (g >= 2)

@@ -101,6 +101,8 @@ class TestGrammar:
         assert build_form("  2H ") == build_form("2H")
         assert build_form("diag( +1 , -1 )") == build_form("diag(1,-1)")
         assert build_form("matrix [ [0, 1], [1, 0] ]") == build_form("H")
+        assert build_form("matrix [\t[0 ,1]\n,\x0b[1,\x0c0] ]") == build_form("H")
+        assert build_form("matrix [[0, 1], [1, 0]]") == build_form("H")
 
     @pytest.mark.parametrize(
         "bad",
@@ -116,11 +118,29 @@ class TestGrammar:
          pytest.param("matrix [[1 2]]", id="space-inside-entry"),
          pytest.param("matrix [[1,- 1],[-1,1]]", id="space-after-sign"),
          pytest.param("matrix [[]]", id="empty-row"),
+         pytest.param("matrix [[1]],[2]]", id="stray-bracket-before-separator"),
+         pytest.param("matrix [[1],[[2]]", id="stray-bracket-after-separator"),
+         pytest.param("matrix [[1,0],[ ],[0,1]]", id="empty-middle-row"),
          pytest.param(3, id="not-a-string")],
     )
     def test_rejects(self, bad):
         with pytest.raises(FormParseError):
             build_form(bad)
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            # rows are read in order: the bad entry comes before the later empty row
+            ("matrix [[x],[ ]]", "matrix entry must be an integer, got 'x'"),
+            ("matrix [[1],[ ],[x]]", "matrix rows must be nonempty"),
+            ("matrix [[1]],[2]]", "malformed matrix literal: '[[1]],[2]]'"),
+            ("matrix [[1 ,\t2 ]]", "matrix literal must be square"),
+        ],
+    )
+    def test_literal_messages(self, bad, message):
+        with pytest.raises(FormParseError) as info:
+            build_form(bad)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "bad",
